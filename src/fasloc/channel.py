@@ -30,6 +30,7 @@ Three correlation models produce an N x N unit-diagonal matrix:
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,11 +169,14 @@ def rho_pair(layout, k, l):
     return bessel_j0(2.0 * np.pi * (k - l) * layout.correlation_step())
 
 
+@lru_cache(maxsize=64)
 def average_mu_squared(layout):
     """Single averaged correlation coefficient mu^2 of the layout.
 
     mu^2 = | 2/(N(N-1)) * sum_{k=1}^{N-1} (N-k) J0(2*pi*k*step) |,
     the absolute value of the mean over all port pairs. Always in [0, 1].
+    Cached per layout: a sweep point asks for it twice, once for the
+    covariance and once for the estimator weights.
     """
     n = layout.n_ports
     if n < 2:

@@ -181,6 +181,8 @@ def _cmd_reproduce(args):
 
 
 def _cmd_estimate(args):
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
     layout = FasLayout(args.n_ports, args.aperture, args.wavelength, args.spacing)
     measurements = read_measurements(args.input, layout)
     cfg = EstimatorConfig(method="fas_mle", search_bracket=tuple(args.bracket),
@@ -203,7 +205,7 @@ def _cmd_estimate(args):
         "converged": result.converged,
         "iterations": result.iterations,
         "objective_value": result.objective_value,
-    }, sort_keys=True))
+    }, sort_keys=True, allow_nan=False))
     return EXIT_OK if result.converged else EXIT_NOCONV
 
 
@@ -229,7 +231,7 @@ def _cmd_inspect(args):
         "eigenvalue_max": float(eigs[-1]),
         "regularized": cov.regularized,
         "correlation_profile": profile,
-    }, sort_keys=True))
+    }, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

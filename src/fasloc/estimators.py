@@ -1,8 +1,12 @@
 """Distance estimators for port-swept RSSI vectors.
 
+Every estimator works on a batch: a (rows, ports) array of readings, one row
+per trial or capture, solved at once. Each row's result depends on that row
+alone, so a batch can be split anywhere without changing a bit.
+
 Three families:
 
-* ``estimate_mle``: correlated-noise weighted estimator. For an
+* ``solve_mle``: correlated-noise weighted estimator. For an
   equicorrelated port covariance with off-diagonal ``a`` the stationarity
   condition of the Gaussian log-likelihood collapses to a scalar root
   problem
@@ -18,21 +22,26 @@ Three families:
   evaluates them once at the bracket midpoint instead, mirroring the
   closed-form reading in which the weight array is treated as constant.
 
-* ``estimate_ls``: nonlinear least squares over d on the dBm residuals,
-  minimized by golden-section/parabolic search on the bracket.
+* ``solve_ls``: nonlinear least squares over d on the dBm residuals. The
+  scan finds the grid point with the smallest objective; the root of the
+  objective's exact derivative inside the two grid cells around it is the
+  estimate.
 
-* ``estimate_single_antenna``: averages every reading of a one-port stream
-  and inverts the log-distance model in closed form.
+* ``solve_single_antenna``: averages the readings of a one-port stream and
+  inverts the log-distance model in closed form.
+
+Both root problems go through ``_brentq``, an operation-for-operation port
+of scipy's ``brentq`` in which every row carries its own bracket and stops
+on its own. ``estimate_mle``, ``estimate_ls`` and
+``estimate_single_antenna`` take MeasurementSets and solve a batch of one.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .forward_model import MeasurementSet, predicted_rssi
+from .forward_model import MeasurementSet, RssiProfile
 
 _LN10 = math.log(10.0)
 
@@ -40,6 +49,12 @@ METHODS = ("fas_mle", "fas_ls", "multipoint_ls", "single_antenna")
 
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
+# Relative tolerance of the root solver: scipy brentq's default, 4 * eps.
+_RTOL = 4.0 * np.finfo(float).eps
+# Golden-section ratio (sqrt(5) - 1) / 2.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Elements of one (rows, grid, ports) block of the scan; bounds its memory.
+_SCAN_BLOCK = 1 << 18
 
 
 @dataclass
@@ -52,10 +67,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         lo, hi = self.search_bracket
-        if not (0.0 < lo < hi):
-            raise ValueError(f"search bracket must satisfy 0 < d_min < d_max, got {self.search_bracket}")
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError(f"search bracket must satisfy 0 < d_min < d_max < inf, "
+                             f"got {self.search_bracket}")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.method not in METHODS:
@@ -74,6 +90,21 @@ class Estimate:
     converged: bool
     iterations: int
     objective_value: float
+
+
+@dataclass
+class EstimateBatch:
+    """Per-row results of one batched solve."""
+
+    d_hat: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    objective_value: np.ndarray
+
+    def row(self, i):
+        return Estimate(d_hat=float(self.d_hat[i]), converged=bool(self.converged[i]),
+                        iterations=int(self.iterations[i]),
+                        objective_value=float(self.objective_value[i]))
 
 
 def dM_dd(layout, d, theta, i):
@@ -112,7 +143,7 @@ def build_weights(layout, a, d, theta):
 
     With a = 0 the coupling vanishes and b is the plain derivative vector.
     Note b depends on (d, theta) through the derivatives; the solver decides
-    where to evaluate it (see estimate_mle).
+    where to evaluate it (see solve_mle).
     """
     k = kappa_constant(a, layout.n_ports)
     derivs = _deriv_vector(layout.port_offsets_m(), float(d), theta)
@@ -120,16 +151,357 @@ def build_weights(layout, a, d, theta):
     return WeightVector(b=b, kappa=k)
 
 
+class _DroppedTermDerivative:
+    """dM_dd over all ports, vectorized over distances (M,) -> (M, N)."""
+
+    def __init__(self, offsets, theta):
+        self._ct = math.cos(theta)
+        self._two_offs = 2.0 * offsets
+        self._two_offs_ct = self._two_offs * self._ct
+
+    def __call__(self, d):
+        dv = d[:, np.newaxis]
+        return -(10.0 / _LN10) * (2.0 * dv - self._two_offs_ct) \
+            / (dv ** 2 - self._two_offs * dv * self._ct)
+
+
 def _deriv_vector(offsets, d, theta):
     # vectorized dM_dd over ports; d may be scalar or (M,) -> (M, N)
     d = np.asarray(d, dtype=float)
-    scalar = d.ndim == 0
-    dv = d[np.newaxis] if scalar else d
-    ct = math.cos(theta)
-    num = 2.0 * dv[:, np.newaxis] - 2.0 * offsets[np.newaxis, :] * ct
-    den = dv[:, np.newaxis] ** 2 - 2.0 * offsets[np.newaxis, :] * dv[:, np.newaxis] * ct
-    out = -(10.0 / _LN10) * num / den
-    return out[0] if scalar else out
+    out = _DroppedTermDerivative(offsets, theta)(d.reshape(-1))
+    return out[0] if d.ndim == 0 else out
+
+
+class _Residual:
+    """Weighted residual sums of one batch of readings.
+
+    ``weights(d, di_sq)`` maps distances (M,) and their squared port
+    distances to per-port weights, (M, N) or (N,); ``g(d, X)`` is
+    sum_i w_i(d) * (x_i - M_i(d)) for rows X aligned with d.
+    """
+
+    def __init__(self, profile, weights):
+        self.profile = profile
+        self.weights = weights
+
+    def g(self, d, X):
+        di_sq = self.profile.dist_sq(d)
+        return (self.weights(d, di_sq) * (X - self.profile.rssi(di_sq))).sum(axis=1)
+
+    def sq(self, d, X):
+        r = X - self.profile.rssi(self.profile.dist_sq(d))
+        return (r * r).sum(axis=1)
+
+    def scan(self, grid, X, squared=False):
+        """(rows, grid) table of g on ``grid``, and with ``squared`` also the
+        table of squared residual sums."""
+        di_sq = self.profile.dist_sq(grid)
+        model = self.profile.rssi(di_sq)
+        w = self.weights(grid, di_sq)
+        gv = np.empty((X.shape[0], grid.size))
+        sq = np.empty_like(gv) if squared else None
+        step = max(1, _SCAN_BLOCK // model.size)
+        for s in range(0, X.shape[0], step):
+            r = X[s:s + step, np.newaxis, :] - model[np.newaxis]
+            gv[s:s + step] = (w * r).sum(axis=2)
+            if squared:
+                sq[s:s + step] = (r * r).sum(axis=2)
+        return gv, sq
+
+
+def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
+    """Masked port of scipy.optimize.brentq over arrays of brackets.
+
+    Row k solves f(x)[k] = 0 on [xa[k], xb[k]] with scipy's steps and tests,
+    in the same order, so each row reproduces scipy's iterate sequence. f
+    maps an array of abscissae to the array of values, row by row; fa and
+    fb are its values at the bracket ends, which the grid scan has already
+    computed with the same arithmetic. A row whose endpoint values share a
+    sign is not solved (``bracketed`` False).
+    Returns (root, f(root), iterations, converged, bracketed).
+    """
+    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    at_a = fpre == 0.0
+    root = np.where(at_a, xpre, xcur)
+    froot = np.where(at_a, fpre, fcur)
+    bracketed = at_a | (fcur == 0.0) | (np.signbit(fpre) != np.signbit(fcur))
+    active = bracketed & (fpre != 0.0) & (fcur != 0.0)
+    iterations = np.zeros(xcur.shape, dtype=np.int64)
+    xblk, fblk = xpre.copy(), fpre.copy()
+    spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
+    # All rows step in lockstep. A row that has stopped, or has no sign
+    # change, keeps stepping inside its own bracket, where f is defined, and
+    # nothing it computes is read again. For a running row the sign test
+    # below needs no zero checks: its fpre is never 0, and when fcur is 0
+    # the row stops in this iteration with the same root either way. Each
+    # masked update is skipped when no row takes it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, maxiter + 1):
+            if not np.count_nonzero(active):
+                break
+            flip = np.signbit(fpre) != np.signbit(fcur)
+            if np.count_nonzero(flip):
+                np.putmask(xblk, flip, xpre)
+                np.putmask(fblk, flip, fpre)
+                span = xcur - xpre
+                np.putmask(spre, flip, span)
+                np.putmask(scur, flip, span)
+            swap = np.abs(fblk) < np.abs(fcur)
+            if np.count_nonzero(swap):
+                xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                    np.where(swap, xcur, xblk))
+                fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                    np.where(swap, fcur, fblk))
+
+            delta = (xtol + _RTOL * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            abs_sbis = np.abs(sbis)
+            done = active & ((fcur == 0.0) | (abs_sbis < delta))
+            if np.count_nonzero(done):
+                np.putmask(root, done, xcur)
+                np.putmask(froot, done, fcur)
+                np.putmask(iterations, done, it)
+                active ^= done
+
+            # take the interpolation step where it is short enough, bisect
+            # elsewhere
+            abs_spre = np.abs(spre)
+            short = (abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+            if np.count_nonzero(short):
+                stry = _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk)
+                short &= 2.0 * np.abs(stry) < np.minimum(abs_spre, 3.0 * abs_sbis - delta)
+                spre = np.where(short, scur, sbis)
+                scur = np.where(short, stry, sbis)
+            else:
+                spre, scur = sbis, sbis.copy()
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+            fcur = f(xcur)
+    np.putmask(root, active, xcur)
+    np.putmask(froot, active, fcur)
+    np.putmask(iterations, active, maxiter)
+    return root, froot, iterations, bracketed & ~active, bracketed
+
+
+def _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk):
+    """brentq's trial step: secant where pre and blk coincide, inverse
+    quadratic extrapolation elsewhere."""
+    secant = xpre == xblk
+    n_secant = np.count_nonzero(secant)
+    if n_secant == secant.size:
+        return -fcur * (xcur - xpre) / (fcur - fpre)
+    dpre = (fpre - fcur) / (xpre - xcur)
+    dblk = (fblk - fcur) / (xblk - xcur)
+    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+    if n_secant:
+        stry = np.where(secant, -fcur * (xcur - xpre) / (fcur - fpre), stry)
+    return stry
+
+
+def _golden(phi, a, b, xtol, maxiter):
+    """Masked golden-section search for the minimum of phi on [a, b] per row.
+
+    Each row stops once its interval is no wider than ``xtol``. Returns the
+    better of the two interior points, phi there, and evaluations per row.
+    """
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = phi(c), phi(d)
+    evaluations = np.full(a.shape, 2, dtype=np.int64)
+    active = (b - a) > xtol
+    for _ in range(maxiter):
+        if not active.any():
+            break
+        left = active & (fc < fd)
+        right = active & ~(fc < fd)
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        new_c = np.where(left, b - _INV_PHI * (b - a), np.where(right, d, c))
+        new_d = np.where(right, a + _INV_PHI * (b - a), np.where(left, c, d))
+        f_new = phi(np.where(left, new_c, new_d))
+        fc, fd = np.where(left, f_new, np.where(right, fd, fc)), \
+            np.where(right, f_new, np.where(left, fc, fd))
+        c, d = new_c, new_d
+        evaluations += active
+        active &= (b - a) > xtol
+    best_c = fc <= fd
+    return np.where(best_c, c, d), np.where(best_c, fc, fd), evaluations
+
+
+def _cells(j, size):
+    """Grid indices bounding the two cells around index j, clipped at the ends."""
+    return np.maximum(j - 1, 0), np.minimum(j + 1, size - 1)
+
+
+def _check_rows(X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"readings must be a (rows, ports) array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("readings must be finite")
+    return X
+
+
+def _check_theta(theta):
+    if not math.isfinite(theta):
+        raise ValueError(f"bearing theta must be finite, got {theta}")
+
+
+def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
+    """Least-squares distance estimates for the rows of X.
+
+    The objective sum_i (x_i - M_i(d))^2 is scanned on the geometric grid
+    over the bracket; the root of its exact derivative in the two cells
+    around the best grid point is the estimate (golden-section search on
+    the objective when the derivative keeps its sign there). If a bracket
+    endpoint beats that minimum the objective was not unimodal on the
+    bracket: the interior point is still returned, flagged converged=False.
+    """
+    X = _check_rows(X)
+    _check_theta(theta)
+    lo, hi = cfg.search_bracket
+    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
+    res = _Residual(profile, profile.derivative)
+    grid = np.geomspace(lo, hi, _SCAN_POINTS)
+    gv, fv = res.scan(grid, X, squared=True)
+    j_lo, j_hi = _cells(np.argmin(fv, axis=1), grid.size)
+    a, b = grid[j_lo], grid[j_hi]
+    rows = np.arange(X.shape[0])
+
+    d_hat, _, iterations, converged, bracketed = _brentq(
+        lambda d: res.g(d, X), a, b, gv[rows, j_lo], gv[rows, j_hi],
+        cfg.tolerance, cfg.max_iterations)
+    flat = np.flatnonzero(~bracketed)
+    if flat.size:
+        Xf = X[flat]
+        d_f, _, evals = _golden(lambda d: res.sq(d, Xf), a[flat], b[flat],
+                                cfg.tolerance, cfg.max_iterations)
+        d_hat[flat] = d_f
+        iterations[flat] = evals
+        converged[flat] = True
+    f_hat = res.sq(d_hat, X)
+    interior_ok = f_hat <= np.minimum(fv[:, 0], fv[:, -1]) + 1e-12
+    return EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
+                         iterations=iterations, objective_value=f_hat)
+
+
+def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
+    """Correlated-noise weighted estimates for the rows of X: roots of g(d).
+
+    The bracket is scanned on a geometric grid; each sign-change interval is
+    refined with Brent's method and kept when |g| there is below 1e-3 of the
+    largest scanned |g| (a sign change across a pole is not a root). With
+    several roots the one closest to the least-squares estimate of the same
+    row wins (deterministic tie-break). With none, the minimizer of |g| in
+    the two cells around the best scan point is returned with
+    converged=False.
+    """
+    if not (0.0 <= a < 1.0):
+        raise ValueError(f"correlation coefficient a must be in [0, 1), got {a}")
+    X = _check_rows(X)
+    _check_theta(theta)
+    rows = X.shape[0]
+    offsets = layout.port_offsets_m()
+    kap = kappa_constant(a, layout.n_ports)
+    lo, hi = cfg.search_bracket
+
+    # The dropped-term derivative is singular at d = 2*off*cos(theta); keep
+    # the working bracket above the largest singularity.
+    pole = 2.0 * float(np.max(offsets)) * math.cos(theta)
+    lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
+    if lo_eff >= hi:
+        raise ValueError(
+            f"bracket {cfg.search_bracket} lies inside the weight-singularity "
+            f"radius {pole:.3g} m"
+        )
+
+    if cfg.frozen_weights:
+        derivs = _deriv_vector(offsets, 0.5 * (lo + hi), theta)
+        frozen_b = derivs - kap * derivs.sum()
+
+        def weights(d, di_sq):
+            return frozen_b
+    else:
+        deriv = _DroppedTermDerivative(offsets, theta)
+
+        def weights(d, di_sq):
+            derivs = deriv(d)
+            return derivs - kap * derivs.sum(axis=1, keepdims=True)
+
+    res = _Residual(RssiProfile(layout, theta, amp_const, path_loss_exp), weights)
+    grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
+    gv, _ = res.scan(grid, X)
+    finite = np.isfinite(gv)
+    g_scale = np.max(np.where(finite, np.abs(gv), 0.0), axis=1) + 1e-30
+
+    # a grid point can land exactly on the root (noiseless data with a
+    # symmetric bracket does this); the product test would miss it
+    zero_row, zero_cell = np.nonzero(finite & (gv == 0.0))
+    change = finite[:, :-1] & finite[:, 1:] & (gv[:, :-1] * gv[:, 1:] < 0.0)
+    br_row, br_cell = np.nonzero(change)
+    Xb = X[br_row]
+    root, g_root, its, br_conv, _ = _brentq(
+        lambda d: res.g(d, Xb), grid[br_cell], grid[br_cell + 1],
+        gv[br_row, br_cell], gv[br_row, br_cell + 1], cfg.tolerance, cfg.max_iterations)
+    iterations = np.bincount(br_row, weights=its, minlength=rows).astype(np.int64)
+    keep = np.abs(g_root) <= 1e-3 * g_scale[br_row]
+
+    # candidate roots per row, grid zeros first, in scan order
+    cand_row = np.concatenate([zero_row, br_row[keep]])
+    cand_d = np.concatenate([grid[zero_cell], root[keep]])
+    cand_g = np.concatenate([np.zeros(zero_row.size), g_root[keep]])
+    cand_conv = np.concatenate([np.ones(zero_row.size, dtype=bool), br_conv[keep]])
+    n_roots = np.bincount(cand_row, minlength=rows)
+    if n_roots.max(initial=0) > 1:
+        multi = np.flatnonzero(n_roots > 1)
+        near = np.zeros(rows)
+        near[multi] = solve_ls(X[multi], layout, theta, cfg, amp_const, path_loss_exp).d_hat
+        # per row, the candidate nearest the anchor; the earliest on a tie
+        order = np.lexsort((np.arange(cand_row.size), np.abs(cand_d - near[cand_row]),
+                            cand_row))
+        order = order[np.concatenate(([True], cand_row[order][1:] != cand_row[order][:-1]))]
+        cand_row, cand_d, cand_g, cand_conv = (cand_row[order], cand_d[order],
+                                               cand_g[order], cand_conv[order])
+
+    d_hat = np.empty(rows)
+    objective = np.empty(rows)
+    converged = np.zeros(rows, dtype=bool)
+    d_hat[cand_row] = cand_d
+    objective[cand_row] = cand_g
+    converged[cand_row] = cand_conv
+
+    # no bracketable root: polish |g| near the best scan point only; |g| can
+    # have shallow distant valleys a global search would wander into
+    lost = np.flatnonzero(n_roots == 0)
+    if lost.size:
+        Xl = X[lost]
+        j_lo, j_hi = _cells(np.argmin(np.where(finite[lost], np.abs(gv[lost]), np.inf), axis=1),
+                            grid.size)
+        d_l, _, evals = _golden(lambda d: np.abs(res.g(d, Xl)), grid[j_lo], grid[j_hi],
+                                cfg.tolerance, cfg.max_iterations)
+        d_hat[lost] = d_l
+        objective[lost] = res.g(d_l, Xl)
+        iterations[lost] += evals
+    return EstimateBatch(d_hat=d_hat, converged=converged, iterations=iterations,
+                         objective_value=objective)
+
+
+def solve_single_antenna(X, amp_const, path_loss_exp):
+    """Closed-form inversion of the averaged readings of each row of X.
+
+    d_hat = A^(2/n) * 10^((30 - mean_rssi) / (10 n)); at n = 2 this is the
+    familiar A * 10^((30 - mean_rssi)/20). The objective value is the
+    readings' squared deviation about their mean.
+    """
+    X = _check_rows(X)
+    x_bar = X.mean(axis=1)
+    d_hat = amp_const ** (2.0 / path_loss_exp) * 10.0 ** ((30.0 - x_bar) / (10.0 * path_loss_exp))
+    residual = np.sum((X - x_bar[:, np.newaxis]) ** 2, axis=1)
+    return EstimateBatch(d_hat=d_hat, converged=np.ones(X.shape[0], dtype=bool),
+                         iterations=np.zeros(X.shape[0], dtype=np.int64),
+                         objective_value=residual)
 
 
 def _as_snapshot_mean(ms):
@@ -161,142 +533,33 @@ def _resolve_link(ms, amp_const, path_loss_exp):
             amp_const = ms.scene_truth.amp_const(ms.layout.wavelength)
         if path_loss_exp is None:
             path_loss_exp = ms.scene_truth.path_loss_exp
-    return float(amp_const), float(path_loss_exp)
+    amp_const, path_loss_exp = float(amp_const), float(path_loss_exp)
+    if not (0.0 < amp_const < math.inf):
+        raise ValueError(f"amp_const must be positive and finite, got {amp_const}")
+    if not (0.0 < path_loss_exp < math.inf):
+        raise ValueError(f"path_loss_exp must be positive and finite, got {path_loss_exp}")
+    return amp_const, path_loss_exp
 
 
 def estimate_ls(ms, theta, cfg, amp_const=None, path_loss_exp=None):
-    """Least-squares distance estimate over the bracket.
-
-    Minimizes sum_i (x_i - M_i(d))^2 by bounded golden-section/parabolic
-    search. If a bracket endpoint beats the interior minimum the objective
-    was not unimodal on the bracket: the interior point is still returned,
-    flagged converged=False.
-    """
+    """Least-squares distance estimate from one snapshot or several
+    (averaged port-wise); see solve_ls."""
     x, carrier = _as_snapshot_mean(ms)
     a_const, n_exp = _resolve_link(carrier, amp_const, path_loss_exp)
-    layout = carrier.layout
-    lo, hi = cfg.search_bracket
-
-    def objective(d):
-        model = predicted_rssi(layout, d, theta, a_const, n_exp)
-        r = x - model
-        return float(r @ r)
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": cfg.tolerance, "maxiter": cfg.max_iterations})
-    d_hat = float(res.x)
-    f_hat = float(res.fun)
-    interior_ok = f_hat <= min(objective(lo), objective(hi)) + 1e-12
-    converged = bool(res.success) and interior_ok
-    return Estimate(d_hat=d_hat, converged=converged,
-                    iterations=int(res.nfev), objective_value=f_hat)
+    return solve_ls(x[np.newaxis], carrier.layout, theta, cfg, a_const, n_exp).row(0)
 
 
 def estimate_mle(ms, theta, a, cfg, amp_const=None, path_loss_exp=None):
-    """Correlated-noise weighted estimate: root of g(d) on the bracket.
-
-    The bracket is scanned on a geometric grid; each sign-change interval is
-    refined with Brent's method. With several roots the one closest to the
-    least-squares estimate wins (deterministic tie-break). With none, the
-    minimizer of |g| is returned with converged=False.
-    """
-    if not (0.0 <= a < 1.0):
-        raise ValueError(f"correlation coefficient a must be in [0, 1), got {a}")
+    """Correlated-noise weighted estimate from one snapshot or several
+    (averaged port-wise); see solve_mle."""
     x, carrier = _as_snapshot_mean(ms)
     a_const, n_exp = _resolve_link(carrier, amp_const, path_loss_exp)
-    layout = carrier.layout
-    offsets = layout.port_offsets_m()
-    n = layout.n_ports
-    kap = kappa_constant(a, n)
-    lo, hi = cfg.search_bracket
-
-    # The dropped-term derivative is singular at d = 2*off*cos(theta); keep
-    # the working bracket above the largest singularity.
-    pole = 2.0 * float(np.max(offsets)) * math.cos(theta)
-    lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
-    if lo_eff >= hi:
-        raise ValueError(
-            f"bracket {cfg.search_bracket} lies inside the weight-singularity "
-            f"radius {pole:.3g} m"
-        )
-
-    frozen_b = None
-    if cfg.frozen_weights:
-        mid = 0.5 * (lo + hi)
-        derivs = _deriv_vector(offsets, mid, theta)
-        frozen_b = derivs - kap * derivs.sum()
-
-    def g_batch(d_values):
-        model = predicted_rssi(layout, d_values, theta, a_const, n_exp)
-        if frozen_b is not None:
-            b = frozen_b[np.newaxis, :]
-        else:
-            derivs = _deriv_vector(offsets, d_values, theta)
-            b = derivs - kap * derivs.sum(axis=1, keepdims=True)
-        return np.sum(b * (x[np.newaxis, :] - model), axis=1)
-
-    def g(d):
-        return float(g_batch(np.array([d]))[0])
-
-    grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
-    gv = g_batch(grid)
-    finite = np.isfinite(gv)
-    # a grid point can land exactly on the root (noiseless data with a
-    # symmetric bracket does this); the product test would miss it
-    roots = [(float(grid[i]), True) for i in range(len(grid))
-             if finite[i] and gv[i] == 0.0]
-    sign_changes = [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if finite[i] and finite[i + 1] and gv[i] * gv[i + 1] < 0.0
-    ]
-
-    def fallback(iterations):
-        # no bracketable root: polish |g| near the best scan point only;
-        # |g| can have shallow distant valleys the global search would
-        # wander into
-        j = int(np.argmin(np.where(finite, np.abs(gv), np.inf)))
-        b_lo = float(grid[max(j - 1, 0)])
-        b_hi = float(grid[min(j + 1, len(grid) - 1)])
-        res = minimize_scalar(lambda d: abs(g(d)), bounds=(b_lo, b_hi),
-                              method="bounded",
-                              options={"xatol": cfg.tolerance,
-                                       "maxiter": cfg.max_iterations})
-        return Estimate(d_hat=float(res.x), converged=False,
-                        iterations=iterations + int(res.nfev),
-                        objective_value=g(float(res.x)))
-
-    if not sign_changes and not roots:
-        return fallback(0)
-
-    g_scale = float(np.max(np.abs(gv[finite]))) + 1e-30
-    iterations = 0
-    for (rlo, rhi) in sign_changes:
-        root, info = brentq(g, rlo, rhi, xtol=cfg.tolerance,
-                            maxiter=cfg.max_iterations, full_output=True)
-        iterations += info.iterations
-        # a sign change across a pole is not a root: reject huge residuals
-        if abs(g(root)) <= 1e-3 * g_scale:
-            roots.append((float(root), bool(info.converged)))
-
-    if not roots:
-        return fallback(iterations)
-
-    if len(roots) == 1:
-        d_hat, conv = roots[0]
-    else:
-        anchor = estimate_ls(ms, theta, cfg, amp_const=a_const, path_loss_exp=n_exp).d_hat
-        d_hat, conv = min(roots, key=lambda rc: abs(rc[0] - anchor))
-    return Estimate(d_hat=d_hat, converged=conv, iterations=iterations,
-                    objective_value=g(d_hat))
+    return solve_mle(x[np.newaxis], carrier.layout, theta, a, cfg, a_const, n_exp).row(0)
 
 
 def estimate_single_antenna(streams, cfg, amp_const=None, path_loss_exp=None):
-    """Closed-form inversion of the averaged readings of a one-port stream.
-
-    d_hat = A^(2/n) * 10^((30 - mean_rssi) / (10 n)); at n = 2 this is the
-    familiar A * 10^((30 - mean_rssi)/20).
-    """
+    """Closed-form inversion of the averaged readings of a one-port stream;
+    see solve_single_antenna."""
     if isinstance(streams, MeasurementSet):
         streams = [streams]
     streams = list(streams)
@@ -307,8 +570,4 @@ def estimate_single_antenna(streams, cfg, amp_const=None, path_loss_exp=None):
             raise ValueError("single-antenna estimation requires one-port snapshots")
     a_const, n_exp = _resolve_link(streams[0], amp_const, path_loss_exp)
     readings = np.concatenate([ms.rssi_dbm for ms in streams])
-    x_bar = float(readings.mean())
-    d_hat = a_const ** (2.0 / n_exp) * 10.0 ** ((30.0 - x_bar) / (10.0 * n_exp))
-    residual = float(np.sum((readings - x_bar) ** 2))
-    return Estimate(d_hat=float(d_hat), converged=True, iterations=0,
-                    objective_value=residual)
+    return solve_single_antenna(readings[np.newaxis], a_const, n_exp).row(0)

@@ -8,10 +8,15 @@ byte-identical regardless of worker count or scheduling.
 
 Paired-draw discipline: at a given (axis value, trial) all estimators consume
 measurement vectors built from the same block of underlying standard normals.
-The correlated-port and independent-port vectors share one seed (see
+Each trial draws that block once; the correlated-port, independent-port and
+one-port vectors are built from it with their own covariance factors (see
 channel.sample_fading), and both fluid-antenna estimators receive literally
-the same snapshot object. A digest of the trial's simulated vectors is
-recorded so reproducibility is checkable from the output alone.
+the same row. A digest of the trial's simulated vectors is recorded so
+reproducibility is checkable from the output alone.
+
+The estimators run once per axis point over all of its trials (see
+estimators: every row is solved on its own, so chunking trials across
+workers changes no bit).
 
 Baselines in a trial:
 
@@ -33,6 +38,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -40,11 +46,11 @@ import numpy as np
 
 from . import __version__
 from .channel import (CorrelationModel, FasLayout, average_mu_squared,
-                      build_covariance)
-from .estimators import (EstimatorConfig, METHODS, estimate_ls, estimate_mle,
-                         estimate_single_antenna)
-from .forward_model import (SNR_CONVENTION, Scene, simulate_measurements,
-                            snr_to_sigma2)
+                      build_covariance, rng_from_seed)
+from .estimators import (EstimatorConfig, METHODS, solve_ls, solve_mle,
+                         solve_single_antenna)
+from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
+                            warn_near_field)
 
 NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
                    "stderr: leave-one-out jackknife in dB")
@@ -272,21 +278,23 @@ def nmse_db(estimates, d_true):
 
 @dataclass
 class _PointContext:
-    """Everything one axis point's trials need; picklable for workers."""
+    """Everything one axis point's trials need; picklable for workers.
+
+    ``factors`` holds the covariance factor of each measurement vector a
+    trial simulates (``fas``, ``mp``, ``one``), ``means`` its noiseless
+    profile.
+    """
 
     axis_index: int
     base_seed: int
     estimators: Sequence[str]
     layout: FasLayout
-    layout_one: FasLayout
     scene: Scene
-    cov_fas: object
-    cov_mp: object
-    cov_one: object
+    factors: dict
+    means: dict
     a_coeff: float
     cfg_mle: EstimatorConfig
     cfg_ls: EstimatorConfig
-    cfg_single: EstimatorConfig
 
 
 def _resolve_point(spec, axis_value):
@@ -307,114 +315,129 @@ def _make_point_context(spec, axis_index):
     axis_value = float(list(spec.axis_values)[axis_index])
     layout, sigma2 = _resolve_point(spec, axis_value)
     ests = list(spec.estimators)
-    need_fas = any(e in ("fas_mle", "fas_ls") for e in ests)
-    need_mp = "multipoint_ls" in ests
-    need_single = "single_antenna" in ests
-
-    cov_fas = build_covariance(layout, spec.correlation_model, sigma2) if need_fas else None
-    cov_mp = build_covariance(layout, CorrelationModel.INDEPENDENT, sigma2) if need_mp else None
+    scene = spec.scene
     layout_one = FasLayout(1, 0.0, spec.wavelength, "endpoint")
-    cov_one = build_covariance(layout_one, CorrelationModel.INDEPENDENT, sigma2) if need_single else None
+    vectors = {}
+    if any(e in ("fas_mle", "fas_ls") for e in ests):
+        vectors["fas"] = (layout, spec.correlation_model)
+    if "multipoint_ls" in ests:
+        vectors["mp"] = (layout, CorrelationModel.INDEPENDENT)
+    if "single_antenna" in ests:
+        vectors["one"] = (layout_one, CorrelationModel.INDEPENDENT)
+    if "fas" in vectors or "mp" in vectors:
+        warn_near_field(layout, scene)
+    factors = {}
+    means = {}
+    for name, (lay, model) in vectors.items():
+        factors[name] = build_covariance(lay, model, sigma2).factor()
+        means[name] = predicted_rssi(lay, scene.distance, scene.bearing,
+                                     scene.amp_const(lay.wavelength), scene.path_loss_exp)
 
     if spec.correlation_model is CorrelationModel.INDEPENDENT:
         a_coeff = 0.0
     else:
         a_coeff = average_mu_squared(layout)
 
-    d = spec.scene.distance
+    d = scene.distance
     bracket = (d / 20.0, d * 20.0)
     cfg_common = dict(search_bracket=bracket, tolerance=1e-6, max_iterations=200)
     cfg_mle = EstimatorConfig(method="fas_mle", frozen_weights=spec.mle_frozen_weights,
                               **cfg_common)
     cfg_ls = EstimatorConfig(method="fas_ls", **cfg_common)
-    cfg_single = EstimatorConfig(method="single_antenna", **cfg_common)
     return _PointContext(axis_index=axis_index, base_seed=spec.base_seed,
-                         estimators=ests, layout=layout, layout_one=layout_one,
-                         scene=spec.scene, cov_fas=cov_fas, cov_mp=cov_mp,
-                         cov_one=cov_one, a_coeff=a_coeff, cfg_mle=cfg_mle,
-                         cfg_ls=cfg_ls, cfg_single=cfg_single)
+                         estimators=ests, layout=layout, scene=scene, factors=factors,
+                         means=means, a_coeff=a_coeff, cfg_mle=cfg_mle, cfg_ls=cfg_ls)
+
+
+def _simulate(ctx, t_lo, t_hi):
+    """Measurement rows of trials [t_lo, t_hi) and their draw digests.
+
+    Each trial draws one (1, N) block of standard normals from its own
+    stream; every vector of the trial is its noiseless profile plus that
+    block times the vector's covariance factor (the one-port reading uses
+    the block's first normal), row by row as channel.sample_fading does.
+    """
+    z_width = ctx.layout.n_ports
+    rows = {name: [] for name in ctx.factors}
+    digests = []
+    for t in range(t_lo, t_hi):
+        z = rng_from_seed((ctx.base_seed, ctx.axis_index, t)).standard_normal((1, z_width))
+        parts = []
+        for name, factor in ctx.factors.items():
+            x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
+            rows[name].append(x)
+            parts.append(x.tobytes())
+        digests.append(hashlib.sha256(b"".join(parts)).hexdigest()[:16])
+    return {name: np.array(r) for name, r in rows.items()}, digests
 
 
 def _run_trials(ctx, t_lo, t_hi):
-    """Run trials [t_lo, t_hi) of one axis point; returns per-estimator
-    (d_hats, convergeds) plus per-trial draw digests."""
-    theta = ctx.scene.bearing
-    out = {est: ([], []) for est in ctx.estimators}
-    digests = []
-    for t in range(t_lo, t_hi):
-        seed = (ctx.base_seed, ctx.axis_index, t)
-        ms_fas = ms_mp = ms_one = None
-        hash_parts = []
-        if ctx.cov_fas is not None:
-            ms_fas = simulate_measurements(ctx.layout, ctx.scene, ctx.cov_fas, seed, 1)[0]
-            hash_parts.append(ms_fas.rssi_dbm.tobytes())
-        if ctx.cov_mp is not None:
-            ms_mp = simulate_measurements(ctx.layout, ctx.scene, ctx.cov_mp, seed, 1)[0]
-            hash_parts.append(ms_mp.rssi_dbm.tobytes())
-        if ctx.cov_one is not None:
-            ms_one = simulate_measurements(ctx.layout_one, ctx.scene, ctx.cov_one, seed, 1)[0]
-            hash_parts.append(ms_one.rssi_dbm.tobytes())
-        digests.append(hashlib.sha256(b"".join(hash_parts)).hexdigest()[:16])
-
-        for est in ctx.estimators:
-            if est == "fas_mle":
-                e = estimate_mle(ms_fas, theta, ctx.a_coeff, ctx.cfg_mle)
-            elif est == "fas_ls":
-                e = estimate_ls(ms_fas, theta, ctx.cfg_ls)
-            elif est == "multipoint_ls":
-                e = estimate_ls(ms_mp, theta, ctx.cfg_ls)
-            else:  # single_antenna: N-reading budget sharing one static draw
-                stream = [ms_one] * ctx.layout.n_ports
-                e = estimate_single_antenna(stream, ctx.cfg_single)
-            out[est][0].append(e.d_hat)
-            out[est][1].append(e.converged)
+    """Run trials [t_lo, t_hi) of one axis point, each estimator once over
+    all of them; returns {estimator: EstimateBatch} plus per-trial draw
+    digests."""
+    X, digests = _simulate(ctx, t_lo, t_hi)
+    scene, layout = ctx.scene, ctx.layout
+    theta, n_exp = scene.bearing, scene.path_loss_exp
+    amp = scene.amp_const(layout.wavelength)
+    out = {}
+    for est in ctx.estimators:
+        if est == "fas_mle":
+            out[est] = solve_mle(X["fas"], layout, theta, ctx.a_coeff, ctx.cfg_mle, amp, n_exp)
+        elif est == "fas_ls":
+            out[est] = solve_ls(X["fas"], layout, theta, ctx.cfg_ls, amp, n_exp)
+        elif est == "multipoint_ls":
+            out[est] = solve_ls(X["mp"], layout, theta, ctx.cfg_ls, amp, n_exp)
+        else:  # single_antenna: the one reading of the group's static draw
+            out[est] = solve_single_antenna(X["one"], amp, n_exp)
     return out, digests
+
+
+def _reduce_point(spec, axis_value, ctx, parts):
+    """Result rows of one axis point from its trial chunks, in trial order."""
+    trials = int(spec.trials)
+    digests = [d for _, part_digests in parts for d in part_digests]
+    point_digest = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()[:16]
+    rows = []
+    for est in spec.estimators:
+        d_hats = np.concatenate([part[est].d_hat for part, _ in parts])
+        conv = np.concatenate([part[est].converged for part, _ in parts])
+        excluded = int((~conv).sum())
+        included = d_hats[conv]
+        if included.size:
+            value, se = nmse_db(included, spec.scene.distance)
+        else:
+            value, se = float("nan"), 0.0
+        rows.append(ResultRow(
+            axis_value=float(axis_value), estimator=est, nmse_db=value,
+            stderr_db=se, trials=trials, excluded=excluded,
+            realized_n=ctx.layout.n_ports,
+            flagged=excluded > 0.05 * trials,
+            draw_digest=point_digest,
+        ))
+    return rows
 
 
 def run_experiment(spec, workers=1):
     """Execute the sweep and return its ResultTable.
 
-    Trials are independent work items; with ``workers > 1`` they run in a
-    process pool, chunked by trial index, and are reduced in submission
-    order, so the table bytes do not depend on the worker count.
+    Trials are independent work items; with ``workers > 1`` they run in one
+    process pool for the whole sweep, chunked by trial index, and are
+    reduced in submission order. Every estimator result depends on its own
+    trial alone, so the table bytes do not depend on the worker count.
     """
     spec.validate()
+    trials = int(spec.trials)
     rows = []
-    for axis_index, axis_value in enumerate(spec.axis_values):
-        ctx = _make_point_context(spec, axis_index)
-        trials = int(spec.trials)
-        if workers <= 1:
-            merged, digests = _run_trials(ctx, 0, trials)
-        else:
-            n_chunks = min(workers, trials)
-            bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-            args = [(ctx, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            merged = {est: ([], []) for est in ctx.estimators}
-            digests = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part, dpart in pool.map(_run_trials_star, args):
-                    for est in ctx.estimators:
-                        merged[est][0].extend(part[est][0])
-                        merged[est][1].extend(part[est][1])
-                    digests.extend(dpart)
-
-        point_digest = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()[:16]
-        for est in spec.estimators:
-            d_hats = np.array(merged[est][0])
-            conv = np.array(merged[est][1], dtype=bool)
-            excluded = int((~conv).sum())
-            included = d_hats[conv]
-            if included.size:
-                value, se = nmse_db(included, spec.scene.distance)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        for axis_index, axis_value in enumerate(spec.axis_values):
+            ctx = _make_point_context(spec, axis_index)
+            if pool is None:
+                parts = [_run_trials(ctx, 0, trials)]
             else:
-                value, se = float("nan"), 0.0
-            rows.append(ResultRow(
-                axis_value=float(axis_value), estimator=est, nmse_db=value,
-                stderr_db=se, trials=trials, excluded=excluded,
-                realized_n=ctx.layout.n_ports,
-                flagged=excluded > 0.05 * trials,
-                draw_digest=point_digest,
-            ))
+                bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
+                args = [(ctx, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+                parts = list(pool.map(_run_trials_star, args))
+            rows.extend(_reduce_point(spec, axis_value, ctx, parts))
 
     meta = {
         "version": __version__,

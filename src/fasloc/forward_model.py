@@ -15,6 +15,7 @@ with off_i the geometric port offset in metres. Measured vectors add one
 correlated shadow-fading draw per snapshot on top of the noiseless profile.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +32,8 @@ SNR_CONVENTION = "sigma2_dB2 = 10**(-snr_db/10) (shadow-fading sigma = 1 dB at S
 # Far-field ratio below which the equal-mean-power approximation behind the
 # correlated-measurement model starts to degrade.
 FAR_FIELD_RATIO = 10.0
+
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,40 @@ class MeasurementSet:
                 f"rssi vector length {self.rssi_dbm.shape} does not match "
                 f"layout with {self.layout.n_ports} ports"
             )
+        if not np.isfinite(self.rssi_dbm).all():
+            raise ValueError("rssi readings must be finite")
+
+
+class RssiProfile:
+    """Noiseless RSSI over the ports of a layout as a function of distance,
+    for one bearing and link. The distance-free terms are computed once, so
+    a solver that evaluates many distances pays only for the rest.
+    """
+
+    def __init__(self, layout, theta, amp_const, path_loss_exp=2.0):
+        offs = layout.port_offsets_m()
+        self._offs_sq = offs ** 2
+        self._two_offs = 2.0 * offs
+        self._cos = np.cos(theta)
+        self._level = 30.0 + 20.0 * np.log10(amp_const)
+        self._slope = 5.0 * path_loss_exp
+
+    def dist_sq(self, d):
+        """Squared port distances d_i^2 for distances d of shape (M,): (M, N)."""
+        dv = d[:, np.newaxis]
+        di_sq = self._offs_sq + dv ** 2 - self._two_offs * dv * self._cos
+        if np.count_nonzero(di_sq <= 0.0):
+            raise ValueError("degenerate geometry: transmitter coincides with a port")
+        return di_sq
+
+    def rssi(self, di_sq):
+        """RSSI in dBm from the squared port distances."""
+        return self._level - self._slope * np.log10(di_sq)
+
+    def derivative(self, d, di_sq):
+        """Exact dM_i/dd from the distances and their squared port distances."""
+        num = 2.0 * d[:, np.newaxis] - self._two_offs * self._cos
+        return -(self._slope / _LN10) * num / di_sq
 
 
 def predicted_rssi(layout, d, theta, amp_const, path_loss_exp=2.0):
@@ -93,16 +130,10 @@ def predicted_rssi(layout, d, theta, amp_const, path_loss_exp=2.0):
     Vectorized over d: a scalar d gives shape (N,), an array of shape (M,)
     gives shape (M, N).
     """
-    offs = layout.port_offsets_m()
+    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     d = np.asarray(d, dtype=float)
-    scalar = d.ndim == 0
-    dv = d[np.newaxis] if scalar else d
-    di_sq = offs[np.newaxis, :] ** 2 + dv[:, np.newaxis] ** 2 \
-        - 2.0 * offs[np.newaxis, :] * dv[:, np.newaxis] * np.cos(theta)
-    if np.any(di_sq <= 0.0):
-        raise ValueError("degenerate geometry: transmitter coincides with a port")
-    rssi = 30.0 + 20.0 * np.log10(amp_const) - 5.0 * path_loss_exp * np.log10(di_sq)
-    return rssi[0] if scalar else rssi
+    rssi = profile.rssi(profile.dist_sq(d.reshape(-1)))
+    return rssi[0] if d.ndim == 0 else rssi
 
 
 def port_distance(layout, scene, i):
@@ -144,6 +175,18 @@ def snr_to_sigma2(snr_db, layout=None, scene=None):
     return float(10.0 ** (-snr_db / 10.0))
 
 
+def warn_near_field(layout, scene):
+    """Warn when the transmitter is closer than FAR_FIELD_RATIO port spans,
+    where the equal-mean-power approximation degrades."""
+    if layout.n_ports > 1 and scene.distance < FAR_FIELD_RATIO * layout.span_m:
+        warnings.warn(
+            f"transmitter distance {scene.distance:.3g} m is less than "
+            f"{FAR_FIELD_RATIO:.0f}x the port span {layout.span_m:.3g} m; "
+            "the equal-mean-power approximation degrades",
+            stacklevel=3,
+        )
+
+
 def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
     """Simulate ``n_snapshots`` RSSI vectors: noiseless profile + fading.
 
@@ -156,13 +199,7 @@ def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
             f"covariance dimension {cov.dim} does not match layout with "
             f"{layout.n_ports} ports"
         )
-    if layout.n_ports > 1 and scene.distance < FAR_FIELD_RATIO * layout.span_m:
-        warnings.warn(
-            f"transmitter distance {scene.distance:.3g} m is less than "
-            f"{FAR_FIELD_RATIO:.0f}x the port span {layout.span_m:.3g} m; "
-            "the equal-mean-power approximation degrades",
-            stacklevel=2,
-        )
+    warn_near_field(layout, scene)
     means = predicted_rssi(layout, scene.distance, scene.bearing,
                            scene.amp_const(layout.wavelength), scene.path_loss_exp)
     fading = sample_fading(cov, rng_seed, n_snapshots)
@@ -207,8 +244,11 @@ def read_measurements(path, layout, noise_sigma2=float("nan")):
                 values = np.array([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unparseable reading: {exc}") from None
-            out.append(MeasurementSet(rssi_dbm=values, layout=layout,
-                                      scene_truth=None, noise_sigma2=noise_sigma2))
+            try:
+                out.append(MeasurementSet(rssi_dbm=values, layout=layout,
+                                          scene_truth=None, noise_sigma2=noise_sigma2))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no snapshots found")
     return out

@@ -149,6 +149,26 @@ def test_estimate_non_convergence_exits_3_with_payload(tmp_path, capsys):
     assert "d_hat" in payload
 
 
+@pytest.mark.parametrize("case", ["nan_reading", "nan_theta", "negative_amp_const",
+                                  "infinite_bracket"])
+def test_estimate_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "caps.txt"
+    make_noiseless_file(path)
+    if case == "nan_reading":
+        fields = path.read_text().strip().split(",")
+        fields[3] = "nan"
+        path.write_text(",".join(fields) + "\n")
+    theta = "nan" if case == "nan_theta" else str(math.pi / 3.0)
+    amp = "-3e-4" if case == "negative_amp_const" else str(A_DEFAULT)
+    bracket = ["--bracket", "0.5", "inf"] if case == "infinite_bracket" else []
+    assert run_cli("estimate", "--input", str(path), "--theta", theta,
+                   "--n-ports", "12", "--aperture", "0.5", f"--amp-const={amp}",
+                   *bracket) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err
+
+
 def test_estimate_noisy_file_lands_near_truth(tmp_path, capsys):
     lay = FasLayout(12, 0.5, 0.125, "index")
     scene = Scene(distance=10.0, bearing=math.pi / 3.0)
