@@ -43,6 +43,14 @@ _PSD_PAD = 1e-12
 
 SPACING_CONVENTIONS = ("endpoint", "index")
 
+# Hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx),
+# which philox_keys reproduces over arrays of seeds.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 
 class ModelValidityError(ValueError):
     """Correlation model produced a matrix requiring too large a PSD repair."""
@@ -233,19 +241,115 @@ def build_covariance(layout, model, sigma2):
                             regularized=regularized, shift=shift)
 
 
+def _seed_words(values):
+    """Non-negative ints as uint32 words, least significant first, the way
+    numpy's SeedSequence splits its entropy (0 is one word)."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError(f"seed values must be non-negative integers, got {v}")
+        words.append(v & _MASK32)
+        v >>= 32
+        while v:
+            words.append(v & _MASK32)
+            v >>= 32
+    return words
+
+
+def _hashmix(const, mult):
+    """SeedSequence's multiply-xorshift step over uint32 arrays; the
+    multiplier it carries from call to call starts at ``const``."""
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return step
+
+
+def _hash_keys(words):
+    """numpy SeedSequence's key derivation over rows of entropy words.
+
+    ``words`` is a (B, W) uint32 array; row b gets the key that
+    ``Philox(SeedSequence(entropy_b))`` uses, i.e. mix_entropy into a
+    4-word pool and then generate_state(2, np.uint64). The hash constants
+    evolve identically for every row, so each step is one array operation.
+    Returns a (B, 2) uint64 array.
+    """
+    n_rows, n_words = words.shape
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(n_rows, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < n_words else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, n_words):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(words[:, i_src]))
+
+    generate = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([generate(value) for value in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def philox_keys(seed, trials=None):
+    """128-bit Philox keys of seeded streams, as a (B, 2) uint64 array.
+
+    Without ``trials`` this is the one key of ``rng_from_seed(seed)``. With
+    an array of trial indices t it is the key of ``rng_from_seed((*seed, t))``
+    for each t, all derived in one pass. A seed is an int or a tuple of
+    ints; the tuple length is folded into the entropy because SeedSequence
+    ignores trailing zero words, which would otherwise alias (s,) and
+    (s, 0). An int seed s is the tuple (s,).
+    """
+    values = [int(v) for v in seed] if isinstance(seed, (tuple, list)) else [int(seed)]
+    if trials is None:
+        return _hash_keys(np.array([_seed_words((len(values), *values))], dtype=np.uint32))
+    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+    if trials.size and (trials.min() < 0 or trials.max() > _MASK32):
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    head = _seed_words((len(values) + 1, *values))
+    words = np.empty((trials.size, len(head) + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = trials
+    return _hash_keys(words)
+
+
 def rng_from_seed(seed):
     """Deterministic counter-based generator from an int or tuple of ints.
 
     Tuple seeds give independent, scheduling-order-free streams per
-    (experiment, axis point, trial) without any shared state. The tuple
-    length is folded into the entropy because SeedSequence ignores trailing
-    zero words, which would otherwise alias (s,) and (s, 0).
+    (experiment, axis point, trial) without any shared state. The stream is
+    Philox with the key ``philox_keys(seed)`` derives and a zero counter,
+    the same stream as ``Philox(SeedSequence((len(seed), *seed)))``.
     """
-    if isinstance(seed, (tuple, list)):
-        entropy = (len(seed), *(int(v) for v in seed))
-    else:
-        entropy = (1, int(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(key=philox_keys(seed)[0]))
+
+
+def standard_normal_rows(seed, trials, width):
+    """Standard normals of many trial streams, one row per trial.
+
+    Row i equals ``rng_from_seed((*seed, trials[i])).standard_normal(width)``.
+    Philox streams are fixed by their key, so one generator is re-keyed for
+    each row (zero counter, empty buffer) instead of being built anew.
+    """
+    keys = philox_keys(seed, trials)
+    z = np.empty((keys.shape[0], int(width)))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for i, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        gen.standard_normal(out=z[i])
+    return z
 
 
 def sample_fading(cov, rng_seed, n_draws):

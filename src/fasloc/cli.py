@@ -111,7 +111,7 @@ def _spec_from_config(path):
         sweep_axis=cfg["sweep_axis"],
         axis_values=cfg["axis_values"],
         trials=int(cfg["trials"]),
-        base_seed=int(cfg.get("base_seed", 42)),
+        base_seed=cfg.get("base_seed", 42),
         estimators=cfg["estimators"],
         scene=scene,
         wavelength=float(layout_cfg.get("wavelength", 0.125)),

@@ -106,6 +106,12 @@ class EstimateBatch:
                         iterations=int(self.iterations[i]),
                         objective_value=float(self.objective_value[i]))
 
+    def split(self, parts):
+        """The batch cut into ``parts`` equal blocks of consecutive rows."""
+        columns = (self.d_hat, self.converged, self.iterations, self.objective_value)
+        return [EstimateBatch(*block)
+                for block in zip(*(np.split(c, parts) for c in columns))]
+
 
 def dM_dd(layout, d, theta, i):
     """Sensitivity of the mean RSSI at port i to the distance d.

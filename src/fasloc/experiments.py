@@ -2,9 +2,12 @@
 
 A sweep is described by an ExperimentSpec (axis, fixed parameters, trial
 count, seed) and produces a ResultTable of NMSE-in-dB rows per estimator,
-with a leave-one-out jackknife standard error. Every trial derives its own
-counter-based RNG stream from (base_seed, axis_index, trial), so results are
-byte-identical regardless of worker count or scheduling.
+with a leave-one-out jackknife standard error. Every trial has its own
+counter-based Philox stream, keyed by (base_seed, axis_index, trial), so
+results are byte-identical regardless of worker count or scheduling. The
+keys of all trials of an axis point are derived in one vectorised pass
+(channel.philox_keys) and one generator is re-keyed per trial, which draws
+exactly what a fresh ``rng_from_seed`` per trial would.
 
 Paired-draw discipline: at a given (axis value, trial) all estimators consume
 measurement vectors built from the same block of underlying standard normals.
@@ -16,7 +19,8 @@ reproducibility is checkable from the output alone.
 
 The estimators run once per axis point over all of its trials (see
 estimators: every row is solved on its own, so chunking trials across
-workers changes no bit).
+workers changes no bit, and ``fas_ls`` and ``multipoint_ls`` share one
+least-squares solve over their stacked rows).
 
 Baselines in a trial:
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (CorrelationModel, FasLayout, average_mu_squared,
-                      build_covariance, rng_from_seed)
+                      build_covariance, standard_normal_rows)
 from .estimators import (EstimatorConfig, METHODS, solve_ls, solve_mle,
                          solve_single_antenna)
 from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
@@ -115,6 +119,9 @@ class ExperimentSpec:
             raise ValueError("axis_values must be non-empty and strictly increasing")
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
+        if (isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer))
+                or self.base_seed < 0):
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if not self.estimators:
             raise ValueError("estimator list is empty")
         for est in self.estimators:
@@ -255,12 +262,15 @@ class ResultTable:
 def nmse_db(estimates, d_true):
     """Normalized MSE of distance estimates, in dB, with jackknife stderr.
 
-    Accepts Estimate objects or raw d_hat floats. A zero error sum is floored
-    at NMSE_FLOOR_DB instead of -inf.
+    Accepts an array of d_hat values, or a sequence of Estimate objects or
+    raw floats. A zero error sum is floored at NMSE_FLOOR_DB instead of -inf.
     """
     if d_true <= 0.0:
         raise ValueError("d_true must be positive")
-    d_hats = np.array([getattr(e, "d_hat", e) for e in estimates], dtype=float)
+    if isinstance(estimates, np.ndarray):
+        d_hats = np.asarray(estimates, dtype=float)
+    else:
+        d_hats = np.array([getattr(e, "d_hat", e) for e in estimates], dtype=float)
     if d_hats.size == 0:
         raise ValueError("empty estimate list")
     errs = ((d_hats - d_true) / d_true) ** 2
@@ -352,42 +362,47 @@ def _make_point_context(spec, axis_index):
 def _simulate(ctx, t_lo, t_hi):
     """Measurement rows of trials [t_lo, t_hi) and their draw digests.
 
-    Each trial draws one (1, N) block of standard normals from its own
-    stream; every vector of the trial is its noiseless profile plus that
-    block times the vector's covariance factor (the one-port reading uses
-    the block's first normal), row by row as channel.sample_fading does.
+    Each trial's normals are one row of an (n_trials, N) block drawn in one
+    pass: the trial keys come from channel.philox_keys and one re-keyed
+    generator fills the rows, so row t is exactly what
+    ``rng_from_seed((base_seed, axis_index, t))`` draws. Every vector of a
+    trial is its noiseless profile plus the row times the vector's
+    covariance factor (the one-port reading uses the row's first normal).
+    The product is stacked per row, (T, 1, k) @ (k, k), which gives the same
+    bits as channel.sample_fading's (1, k) @ (k, k) per trial. A trial's
+    digest hashes its vectors in order, one row of their concatenation.
     """
-    z_width = ctx.layout.n_ports
-    rows = {name: [] for name in ctx.factors}
-    digests = []
-    for t in range(t_lo, t_hi):
-        z = rng_from_seed((ctx.base_seed, ctx.axis_index, t)).standard_normal((1, z_width))
-        parts = []
-        for name, factor in ctx.factors.items():
-            x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
-            rows[name].append(x)
-            parts.append(x.tobytes())
-        digests.append(hashlib.sha256(b"".join(parts)).hexdigest()[:16])
-    return {name: np.array(r) for name, r in rows.items()}, digests
+    z = standard_normal_rows((ctx.base_seed, ctx.axis_index), np.arange(t_lo, t_hi),
+                             ctx.layout.n_ports)
+    rows = {}
+    for name, factor in ctx.factors.items():
+        k = factor.shape[0]
+        rows[name] = ctx.means[name] + (z[:, np.newaxis, :k] @ factor.T)[:, 0, :]
+    joined = np.concatenate(list(rows.values()), axis=1)
+    digests = [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in joined]
+    return rows, digests
 
 
 def _run_trials(ctx, t_lo, t_hi):
     """Run trials [t_lo, t_hi) of one axis point, each estimator once over
     all of them; returns {estimator: EstimateBatch} plus per-trial draw
-    digests."""
+    digests. ``fas_ls`` and ``multipoint_ls`` share one least-squares solve
+    over their stacked rows (every row is solved on its own)."""
     X, digests = _simulate(ctx, t_lo, t_hi)
     scene, layout = ctx.scene, ctx.layout
     theta, n_exp = scene.bearing, scene.path_loss_exp
     amp = scene.amp_const(layout.wavelength)
+    ls_inputs = {"fas_ls": "fas", "multipoint_ls": "mp"}
+    ls_names = [est for est in ctx.estimators if est in ls_inputs]
     out = {}
+    if ls_names:
+        stacked = solve_ls(np.concatenate([X[ls_inputs[est]] for est in ls_names]),
+                           layout, theta, ctx.cfg_ls, amp, n_exp)
+        out.update(zip(ls_names, stacked.split(len(ls_names))))
     for est in ctx.estimators:
         if est == "fas_mle":
             out[est] = solve_mle(X["fas"], layout, theta, ctx.a_coeff, ctx.cfg_mle, amp, n_exp)
-        elif est == "fas_ls":
-            out[est] = solve_ls(X["fas"], layout, theta, ctx.cfg_ls, amp, n_exp)
-        elif est == "multipoint_ls":
-            out[est] = solve_ls(X["mp"], layout, theta, ctx.cfg_ls, amp, n_exp)
-        else:  # single_antenna: the one reading of the group's static draw
+        elif est == "single_antenna":  # the one reading of the group's static draw
             out[est] = solve_single_antenna(X["one"], amp, n_exp)
     return out, digests
 

@@ -164,13 +164,12 @@ def mean_rssi(layout, scene, i):
     return float(30.0 + 20.0 * np.log10(a) - 10.0 * scene.path_loss_exp * np.log10(d_i))
 
 
-def snr_to_sigma2(snr_db, layout=None, scene=None):
+def snr_to_sigma2(snr_db):
     """Shadow-fading variance (dB^2) for a nominal SNR in dB.
 
     This is a declared convention, not a derived quantity: sigma2 =
     10**(-snr_db/10), i.e. sigma = 1 dB at SNR 0. The convention string
-    (SNR_CONVENTION) is stamped into every result file. The layout/scene
-    arguments are accepted for interface stability and are unused.
+    (SNR_CONVENTION) is stamped into every result file.
     """
     return float(10.0 ** (-snr_db / 10.0))
 

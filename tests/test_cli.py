@@ -96,6 +96,28 @@ def test_reproduce_config_rejects_unknown_keys(tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+def test_reproduce_rejects_a_negative_seed_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "fig2.csv"
+    assert run_cli("reproduce", "fig2", "--seed", "-1", "--trials", "100",
+                   "--workers", "2", "--out", str(out)) == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_reproduce_config_rejects_a_bad_base_seed_with_exit_2(tmp_path, capsys, seed):
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"sweep_axis": "snr_db", "axis_values": [0.0],
+                                    "trials": 100, "base_seed": seed,
+                                    "estimators": ["fas_ls"],
+                                    "layout": {"n_ports": 8, "aperture": 0.5},
+                                    "output": str(out)}))
+    assert run_cli("reproduce", "--config", str(cfg_path)) == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_requires_preset_or_config(capsys):
     assert run_cli("reproduce") == 2
 

@@ -80,6 +80,14 @@ def test_spec_validation_catches_conflicts():
                        scene=default_scene(), snr_db=10.0).validate()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
+def test_spec_rejects_a_base_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="base_seed"):
+        small_spec(base_seed=seed).validate()
+    small_spec(base_seed=np.int64(3)).validate()
+    small_spec(base_seed=2 ** 64 + 5).validate()
+
+
 def test_spec_hash_tracks_content():
     assert small_spec().sha256() == small_spec().sha256()
     assert small_spec().sha256() != small_spec(base_seed=8).sha256()
