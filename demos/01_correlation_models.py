@@ -9,23 +9,21 @@ the equicorrelated (averaged-coefficient) matrix.
 import numpy as np
 
 from fasloc import (CorrelationModel, FasLayout, average_mu_squared,
-                    build_covariance, mu_k, rho_pair)
+                    build_covariance, lag_correlations)
 
 n_ports, aperture = 12, 0.5
 
 print("reference-port correlation profile, endpoint spacing (N ports over W*lambda):")
 lay = FasLayout(n_ports, aperture, wavelength=0.125, spacing="endpoint")
-profile = [mu_k(lay, k) for k in range(n_ports)]
-print("  ", np.array2string(np.array(profile), precision=4))
+rho = lag_correlations(lay)
+print("  ", np.array2string(rho, precision=4))
 
 print("\nsame profile, index spacing (adjacent ports W*lambda apart):")
 lay_idx = FasLayout(n_ports, aperture, wavelength=0.125, spacing="index")
-profile_idx = [mu_k(lay_idx, k) for k in range(n_ports)]
-print("  ", np.array2string(np.array(profile_idx), precision=4))
+print("  ", np.array2string(lag_correlations(lay_idx), precision=4))
 
-print("\npairwise correlation depends only on the index lag:")
-print(f"   rho(5,4) = {rho_pair(lay, 5, 4):+.6f}   rho(9,8) = {rho_pair(lay, 9, 8):+.6f}")
-print(f"   rho(0,11) = {rho_pair(lay, 0, 11):+.6f}")
+print("\npairwise correlation depends only on the index lag |k - l|:")
+print(f"   rho(5,4) = rho(9,8) = {rho[1]:+.6f}   rho(0,11) = {rho[11]:+.6f}")
 
 for spacing in ("endpoint", "index"):
     a = average_mu_squared(FasLayout(n_ports, aperture, spacing=spacing))

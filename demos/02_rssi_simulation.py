@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from fasloc import (CorrelationModel, FasLayout, Scene, build_covariance,
-                    mean_rssi, port_distance, read_measurements,
-                    simulate_measurements, snr_to_sigma2, write_measurements)
+                    predicted_rssi, read_measurements, simulate_measurements,
+                    snr_to_sigma2, write_measurements)
+from fasloc.forward_model import RssiProfile
 
 lay = FasLayout(12, 0.5, wavelength=0.125, spacing="index")
 scene = Scene(distance=10.0, bearing=math.pi / 3.0, tx_power_dbm=0.0)
@@ -23,9 +24,12 @@ scene = Scene(distance=10.0, bearing=math.pi / 3.0, tx_power_dbm=0.0)
 print(f"link amplitude constant A = {scene.amp_const(lay.wavelength):.6e}")
 print(f"port span {lay.span_m:.3f} m against range {scene.distance} m\n")
 
+amp = scene.amp_const(lay.wavelength)
+dist = np.sqrt(RssiProfile(lay, scene.bearing, amp).dist_sq(np.array([scene.distance]))[0])
+mean = predicted_rssi(lay, scene.distance, scene.bearing, amp)
 print("port   distance (m)   mean RSSI (dBm)")
 for i in range(lay.n_ports):
-    print(f"{i:4d}   {port_distance(lay, scene, i):12.6f}   {mean_rssi(lay, scene, i):12.6f}")
+    print(f"{i:4d}   {dist[i]:12.6f}   {mean[i]:12.6f}")
 
 snr_db = 10.0
 sigma2 = snr_to_sigma2(snr_db)

@@ -28,6 +28,7 @@ Three correlation models produce an N x N unit-diagonal matrix:
 * ``INDEPENDENT``  identity (conventional multipoint array).
 """
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -149,32 +150,18 @@ class CovarianceMatrix:
         return self._factor
 
 
-def mu_k(layout, k):
-    """Correlation between port k and the reference port 0.
+def lag_correlations(layout):
+    """Port correlation at each index lag, as an (N,) array.
 
-    Returns J0(2*pi*k*step) where step is the layout's normalized
-    separation per index step.
+    Entry k is J0(2*pi*k*step), the correlation between any two ports k
+    index steps apart (entry 0 is 1); step is the layout's normalized
+    separation per index step. Requires N >= 2.
     """
     n = layout.n_ports
     if n < 2:
-        raise ValueError("reference-port correlation requires n_ports >= 2")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"port index {k} out of range for {n} ports")
-    return bessel_j0(2.0 * np.pi * k * layout.correlation_step())
-
-
-def rho_pair(layout, k, l):
-    """Correlation between two distinct ports k and l.
-
-    Depends only on |k - l| (J0 is even). A port's correlation with itself
-    is 1 by convention and is not computed through this function.
-    """
-    n = layout.n_ports
-    if not (0 <= k <= n - 1 and 0 <= l <= n - 1):
-        raise ValueError(f"port indices ({k}, {l}) out of range for {n} ports")
-    if k == l:
-        raise ValueError("rho_pair is defined for distinct ports; self-correlation is 1")
-    return bessel_j0(2.0 * np.pi * (k - l) * layout.correlation_step())
+        raise ValueError("port correlations require n_ports >= 2")
+    step = layout.correlation_step()
+    return np.array([1.0] + [bessel_j0(2.0 * np.pi * k * step) for k in range(1, n)])
 
 
 @lru_cache(maxsize=64)
@@ -184,15 +171,14 @@ def average_mu_squared(layout):
     mu^2 = | 2/(N(N-1)) * sum_{k=1}^{N-1} (N-k) J0(2*pi*k*step) |,
     the absolute value of the mean over all port pairs. Always in [0, 1].
     Cached per layout: a sweep point asks for it twice, once for the
-    covariance and once for the estimator weights.
+    covariance and once for the estimator weights. Requires N >= 2.
     """
     n = layout.n_ports
-    if n < 2:
-        raise ValueError("average correlation requires n_ports >= 2")
-    step = layout.correlation_step()
+    rho = lag_correlations(layout).tolist()
+    # summed left to right: np.sum's pairwise order would move the last bits
     total = 0.0
     for k in range(1, n):
-        total += (n - k) * bessel_j0(2.0 * np.pi * k * step)
+        total += (n - k) * rho[k]
     return abs(2.0 * total / (n * (n - 1)))
 
 
@@ -215,12 +201,8 @@ def build_covariance(layout, model, sigma2):
         r = np.full((n, n), a)
         np.fill_diagonal(r, 1.0)
     elif model is CorrelationModel.JAKES_EXACT:
-        if n < 2:
-            raise ValueError("JAKES_EXACT requires n_ports >= 2")
-        step = layout.correlation_step()
-        coeffs = np.array([1.0] + [bessel_j0(2.0 * np.pi * m * step) for m in range(1, n)])
         idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        r = coeffs[idx]
+        r = lag_correlations(layout)[idx]
     else:
         raise ValueError(f"unknown correlation model: {model!r}")
 
@@ -299,6 +281,14 @@ def _hash_keys(words):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _seed_value(v):
+    """A seed value as an int; floats and bools raise instead of being cut
+    to a neighbouring stream."""
+    if isinstance(v, bool):
+        raise TypeError(f"seed values must be integers, got {v!r}")
+    return operator.index(v)
+
+
 def philox_keys(seed, trials=None):
     """128-bit Philox keys of seeded streams, as a (B, 2) uint64 array.
 
@@ -307,9 +297,10 @@ def philox_keys(seed, trials=None):
     for each t, all derived in one pass. A seed is an int or a tuple of
     ints; the tuple length is folded into the entropy because SeedSequence
     ignores trailing zero words, which would otherwise alias (s,) and
-    (s, 0). An int seed s is the tuple (s,).
+    (s, 0). An int seed s is the tuple (s,). A seed value that is not an
+    integer (a float, a bool) raises TypeError.
     """
-    values = [int(v) for v in seed] if isinstance(seed, (tuple, list)) else [int(seed)]
+    values = [_seed_value(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
     if trials is None:
         return _hash_keys(np.array([_seed_words((len(values), *values))], dtype=np.uint32))
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)

@@ -21,25 +21,16 @@ import numpy as np
 
 from . import __version__
 from .channel import (CorrelationModel, FasLayout, ModelValidityError,
-                      average_mu_squared, build_covariance, mu_k)
+                      average_mu_squared, build_covariance, lag_correlations)
 from .estimators import (EstimatorConfig, estimate_ls, estimate_mle,
                          estimate_single_antenna, kappa_constant)
-from .experiments import (ExperimentSpec, fig2_spec, fig3_spec, run_experiment)
-from .forward_model import Scene, read_measurements
+from .experiments import ExperimentSpec, fig2_spec, fig3_spec, run_experiment
+from .forward_model import read_measurements
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 EXIT_MODEL = 4
-
-_CONFIG_KEYS = {
-    "sweep_axis", "axis_values", "trials", "base_seed", "estimators",
-    "correlation_model", "layout", "scene", "snr_db", "spacing_h",
-    "mle_frozen_weights", "output",
-}
-_LAYOUT_KEYS = {"n_ports", "aperture", "wavelength", "spacing"}
-_SCENE_KEYS = {"distance", "bearing", "tx_power_dbm", "gain_tx", "gain_rx",
-               "path_loss_exp"}
 
 
 def _info(msg):
@@ -88,44 +79,14 @@ def _build_parser():
     return parser
 
 
-def _check_keys(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _spec_from_config(path):
+def _read_config(path):
+    """The sweep spec of a config file and its ``output`` path (or None)."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
-    _check_keys(cfg, _CONFIG_KEYS, "config")
-    layout_cfg = cfg.get("layout", {})
-    scene_cfg = cfg.get("scene", {})
-    _check_keys(layout_cfg, _LAYOUT_KEYS, "config.layout")
-    _check_keys(scene_cfg, _SCENE_KEYS, "config.scene")
-    scene_defaults = {"distance": 10.0, "bearing": math.pi / 3.0}
-    scene = Scene(**{**scene_defaults, **scene_cfg})
-    model = CorrelationModel(cfg.get("correlation_model", "average-mu"))
-    spec = ExperimentSpec(
-        sweep_axis=cfg["sweep_axis"],
-        axis_values=cfg["axis_values"],
-        trials=int(cfg["trials"]),
-        base_seed=cfg.get("base_seed", 42),
-        estimators=cfg["estimators"],
-        scene=scene,
-        wavelength=float(layout_cfg.get("wavelength", 0.125)),
-        spacing=layout_cfg.get("spacing", "index"),
-        correlation_model=model,
-        n_ports=layout_cfg.get("n_ports"),
-        aperture=layout_cfg.get("aperture"),
-        snr_db=cfg.get("snr_db"),
-        spacing_h=cfg.get("spacing_h"),
-        mle_frozen_weights=bool(cfg.get("mle_frozen_weights", False)),
-        output_path=cfg.get("output"),
-    )
-    spec.validate()
-    return spec
+    output = cfg.pop("output", None)
+    return ExperimentSpec.from_dict(cfg), output
 
 
 def _write_table(table, out_path, want_json):
@@ -142,8 +103,8 @@ def _cmd_reproduce(args):
         if args.preset is not None:
             _info("error: give either a preset or --config, not both")
             return EXIT_INPUT
-        spec = _spec_from_config(args.config)
-        out = args.out or Path(spec.output_path or "sweep.csv")
+        spec, output = _read_config(args.config)
+        out = args.out or Path(output or "sweep.csv")
         table = run_experiment(spec, workers=args.workers)
         _write_table(table, out, args.json)
         return EXIT_OK
@@ -185,8 +146,7 @@ def _cmd_estimate(args):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     layout = FasLayout(args.n_ports, args.aperture, args.wavelength, args.spacing)
     measurements = read_measurements(args.input, layout)
-    cfg = EstimatorConfig(method="fas_mle", search_bracket=tuple(args.bracket),
-                          tolerance=args.tolerance)
+    cfg = EstimatorConfig(search_bracket=tuple(args.bracket), tolerance=args.tolerance)
     if args.method == "mle":
         a = average_mu_squared(layout)
         result = estimate_mle(measurements, args.theta, a, cfg,
@@ -219,7 +179,7 @@ def _cmd_inspect(args):
     if model is CorrelationModel.INDEPENDENT:
         profile = [1.0] + [0.0] * (layout.n_ports - 1)
     else:
-        profile = [1.0] + [mu_k(layout, k) for k in range(1, layout.n_ports)]
+        profile = lag_correlations(layout).tolist()
     print(json.dumps({
         "n_ports": layout.n_ports,
         "aperture": layout.aperture,

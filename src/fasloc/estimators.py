@@ -43,10 +43,6 @@ import numpy as np
 
 from .forward_model import MeasurementSet, RssiProfile
 
-_LN10 = math.log(10.0)
-
-METHODS = ("fas_mle", "fas_ls", "multipoint_ls", "single_antenna")
-
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
 # Relative tolerance of the root solver: scipy brentq's default, 4 * eps.
@@ -59,7 +55,6 @@ _SCAN_BLOCK = 1 << 18
 
 @dataclass
 class EstimatorConfig:
-    method: str = "fas_mle"
     search_bracket: tuple = (0.5, 200.0)
     tolerance: float = 1e-6
     max_iterations: int = 200
@@ -74,14 +69,6 @@ class EstimatorConfig:
             raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-
-
-@dataclass
-class WeightVector:
-    b: np.ndarray
-    kappa: float
 
 
 @dataclass
@@ -113,69 +100,11 @@ class EstimateBatch:
                 for block in zip(*(np.split(c, parts) for c in columns))]
 
 
-def dM_dd(layout, d, theta, i):
-    """Sensitivity of the mean RSSI at port i to the distance d.
-
-    Closed form with the quadratic offset term dropped (the offsets are
-    small against d):
-
-        -(10/ln 10) * (2d - 2*off_i*cos(theta)) / (d^2 - 2*off_i*d*cos(theta))
-
-    Raises on a vanishing denominator (d equal to twice the projected port
-    offset), where the dropped-term form is singular.
-    """
-    n = layout.n_ports
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"port index {i} out of range for {n} ports")
-    off = float(layout.port_offsets_m()[i])
-    num = 2.0 * d - 2.0 * off * math.cos(theta)
-    den = d * d - 2.0 * off * d * math.cos(theta)
-    if den == 0.0:
-        raise ValueError(
-            f"derivative singular at d={d}: equals twice the projected offset of port {i}"
-        )
-    return -(10.0 / _LN10) * num / den
-
-
 def kappa_constant(a, n_ports):
     """Weight-coupling constant for equicorrelated noise with coefficient a."""
     if not (0.0 <= a < 1.0):
         raise ValueError(f"correlation coefficient a must be in [0, 1), got {a}")
     return a * a / ((1.0 - a * a) * (1.0 + a * a * (n_ports - 1)))
-
-
-def build_weights(layout, a, d, theta):
-    """Weight vector b_i = dM_i/dd - kappa * sum_j dM_j/dd at distance d.
-
-    With a = 0 the coupling vanishes and b is the plain derivative vector.
-    Note b depends on (d, theta) through the derivatives; the solver decides
-    where to evaluate it (see solve_mle).
-    """
-    k = kappa_constant(a, layout.n_ports)
-    derivs = _deriv_vector(layout.port_offsets_m(), float(d), theta)
-    b = derivs - k * derivs.sum()
-    return WeightVector(b=b, kappa=k)
-
-
-class _DroppedTermDerivative:
-    """dM_dd over all ports, vectorized over distances (M,) -> (M, N)."""
-
-    def __init__(self, offsets, theta):
-        self._ct = math.cos(theta)
-        self._two_offs = 2.0 * offsets
-        self._two_offs_ct = self._two_offs * self._ct
-
-    def __call__(self, d):
-        dv = d[:, np.newaxis]
-        return -(10.0 / _LN10) * (2.0 * dv - self._two_offs_ct) \
-            / (dv ** 2 - self._two_offs * dv * self._ct)
-
-
-def _deriv_vector(offsets, d, theta):
-    # vectorized dM_dd over ports; d may be scalar or (M,) -> (M, N)
-    d = np.asarray(d, dtype=float)
-    out = _DroppedTermDerivative(offsets, theta)(d.reshape(-1))
-    return out[0] if d.ndim == 0 else out
 
 
 class _Residual:
@@ -404,18 +333,15 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     the two cells around the best scan point is returned with
     converged=False.
     """
-    if not (0.0 <= a < 1.0):
-        raise ValueError(f"correlation coefficient a must be in [0, 1), got {a}")
+    kap = kappa_constant(a, layout.n_ports)
     X = _check_rows(X)
     _check_theta(theta)
     rows = X.shape[0]
-    offsets = layout.port_offsets_m()
-    kap = kappa_constant(a, layout.n_ports)
     lo, hi = cfg.search_bracket
 
     # The dropped-term derivative is singular at d = 2*off*cos(theta); keep
     # the working bracket above the largest singularity.
-    pole = 2.0 * float(np.max(offsets)) * math.cos(theta)
+    pole = 2.0 * float(np.max(layout.port_offsets_m())) * math.cos(theta)
     lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
     if lo_eff >= hi:
         raise ValueError(
@@ -423,20 +349,19 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
             f"radius {pole:.3g} m"
         )
 
+    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     if cfg.frozen_weights:
-        derivs = _deriv_vector(offsets, 0.5 * (lo + hi), theta)
+        derivs = profile.dropped_term_derivative(np.array([0.5 * (lo + hi)]))[0]
         frozen_b = derivs - kap * derivs.sum()
 
         def weights(d, di_sq):
             return frozen_b
     else:
-        deriv = _DroppedTermDerivative(offsets, theta)
-
         def weights(d, di_sq):
-            derivs = deriv(d)
+            derivs = profile.dropped_term_derivative(d)
             return derivs - kap * derivs.sum(axis=1, keepdims=True)
 
-    res = _Residual(RssiProfile(layout, theta, amp_const, path_loss_exp), weights)
+    res = _Residual(profile, weights)
     grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
     gv, _ = res.scan(grid, X)
     finite = np.isfinite(gv)

@@ -43,7 +43,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -51,8 +51,7 @@ import numpy as np
 from . import __version__
 from .channel import (CorrelationModel, FasLayout, average_mu_squared,
                       build_covariance, standard_normal_rows)
-from .estimators import (EstimatorConfig, METHODS, solve_ls, solve_mle,
-                         solve_single_antenna)
+from .estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
 from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
                             warn_near_field)
 
@@ -61,6 +60,7 @@ NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
 NMSE_FLOOR_DB = -200.0
 
 SWEEP_AXES = ("snr_db", "aperture_w", "port_count_n")
+METHODS = ("fas_mle", "fas_ls", "multipoint_ls", "single_antenna")
 
 SPACING_NOTE = {
     "endpoint": ("spacing=endpoint: N ports across W*lambda; correlation step "
@@ -68,9 +68,6 @@ SPACING_NOTE = {
     "index": ("spacing=index: adjacent ports W*lambda apart; correlation step W, "
               "port offsets i*W*lambda"),
 }
-
-_CSV_COLUMNS = ("axis_value", "estimator", "nmse_db", "stderr_db", "trials",
-                "excluded", "realized_n", "flagged", "draw_digest")
 
 # Sweep values of the two reproduction presets.
 FIG2_SNR_VALUES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -109,7 +106,42 @@ class ExperimentSpec:
     snr_db: Optional[float] = None
     spacing_h: Optional[float] = None
     mle_frozen_weights: bool = False
-    output_path: Optional[str] = None
+
+    @classmethod
+    def from_dict(cls, cfg):
+        """Validated spec from a config-file mapping (a dict).
+
+        The schema is the spec's own fields, with the FasLayout fields
+        (``n_ports``, ``aperture``, ``wavelength``, ``spacing``) nested under
+        ``layout`` and the Scene fields under ``scene``. ``base_seed``
+        defaults to 42, and the scene to ``default_scene()``, field by field.
+        Unknown keys are rejected at every level.
+        """
+        layout_keys = {f.name for f in fields(FasLayout)}
+        layout_cfg, scene_cfg = cfg.get("layout", {}), cfg.get("scene", {})
+        for where, mapping, allowed in (
+                ("config", cfg, {f.name for f in fields(cls)} - layout_keys | {"layout"}),
+                ("config.layout", layout_cfg, layout_keys),
+                ("config.scene", scene_cfg, {f.name for f in fields(Scene)})):
+            if not isinstance(mapping, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            unknown = set(mapping) - allowed
+            if unknown:
+                raise ValueError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        kwargs = {"base_seed": 42, **cfg, **layout_cfg,
+                  "scene": replace(default_scene(), **scene_cfg)}
+        kwargs.pop("layout", None)
+        missing = [f.name for f in fields(cls) if f.name not in kwargs
+                   and f.default is MISSING]
+        if missing:
+            raise ValueError(f"missing key(s) in config: {missing}")
+        if "wavelength" in kwargs:  # hashed as given: 1 and 1.0 would differ
+            kwargs["wavelength"] = float(kwargs["wavelength"])
+        if "correlation_model" in kwargs:
+            kwargs["correlation_model"] = CorrelationModel(kwargs["correlation_model"])
+        spec = cls(**kwargs)
+        spec.validate()
+        return spec
 
     def validate(self):
         if self.sweep_axis not in SWEEP_AXES:
@@ -117,11 +149,13 @@ class ExperimentSpec:
         vals = list(self.axis_values)
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis_values must be non-empty and strictly increasing")
-        if self.trials < 100:
-            raise ValueError(f"trials must be >= 100, got {self.trials}")
-        if (isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer))
-                or self.base_seed < 0):
+        if not _is_integer(self.trials) or self.trials < 100:
+            raise ValueError(f"trials must be an integer >= 100, got {self.trials!r}")
+        if not _is_integer(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        if not isinstance(self.mle_frozen_weights, bool):
+            raise ValueError(f"mle_frozen_weights must be true or false, "
+                             f"got {self.mle_frozen_weights!r}")
         if not self.estimators:
             raise ValueError("estimator list is empty")
         for est in self.estimators:
@@ -150,29 +184,12 @@ class ExperimentSpec:
                 raise ValueError("spacing_h must be positive")
 
     def to_dict(self):
-        return {
-            "sweep_axis": self.sweep_axis,
-            "axis_values": [float(v) for v in self.axis_values],
-            "trials": int(self.trials),
-            "base_seed": int(self.base_seed),
-            "estimators": list(self.estimators),
-            "scene": {
-                "distance": self.scene.distance,
-                "bearing": self.scene.bearing,
-                "tx_power_dbm": self.scene.tx_power_dbm,
-                "gain_tx": self.scene.gain_tx,
-                "gain_rx": self.scene.gain_rx,
-                "path_loss_exp": self.scene.path_loss_exp,
-            },
-            "wavelength": self.wavelength,
-            "spacing": self.spacing,
-            "correlation_model": self.correlation_model.value,
-            "n_ports": self.n_ports,
-            "aperture": self.aperture,
-            "snr_db": self.snr_db,
-            "spacing_h": self.spacing_h,
-            "mle_frozen_weights": self.mle_frozen_weights,
-        }
+        """Every field as plain JSON values (the scene as a nested dict)."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "axis_values": [float(v) for v in self.axis_values],
+                "trials": int(self.trials), "base_seed": int(self.base_seed),
+                "estimators": list(self.estimators), "scene": asdict(self.scene),
+                "correlation_model": self.correlation_model.value}
 
     def sha256(self):
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -206,28 +223,17 @@ class ResultTable:
         raise KeyError(f"no row for ({axis_value}, {estimator})")
 
     def header_lines(self):
-        lines = ["# fasloc result table"]
-        for key in ("version", "spec_sha256", "base_seed", "sweep_axis",
-                    "snr_convention", "nmse_convention", "spacing_convention",
-                    "correlation_model", "mle_frozen_weights"):
-            lines.append(f"# {key}: {self.meta[key]}")
-        return lines
+        return ["# fasloc result table"] + [f"# {key}: {value}"
+                                            for key, value in self.meta.items()]
 
     def to_csv_string(self):
+        """Header lines, then one column per ResultRow field: floats to 9
+        significant digits, flags as 1/0."""
+        columns = fields(ResultRow)
         out = self.header_lines()
-        out.append(",".join(_CSV_COLUMNS))
+        out.append(",".join(c.name for c in columns))
         for r in self.rows:
-            out.append(",".join([
-                f"{r.axis_value:.9g}",
-                r.estimator,
-                f"{r.nmse_db:.9g}",
-                f"{r.stderr_db:.9g}",
-                str(r.trials),
-                str(r.excluded),
-                str(r.realized_n),
-                "1" if r.flagged else "0",
-                r.draw_digest,
-            ]))
+            out.append(",".join(_csv_cell(c.type, getattr(r, c.name)) for c in columns))
         return "\n".join(out) + "\n"
 
     def to_csv(self, path):
@@ -235,28 +241,24 @@ class ResultTable:
             fh.write(self.to_csv_string())
 
     def to_json_string(self):
-        payload = {
-            "meta": self.meta,
-            "rows": [
-                {
-                    "axis_value": r.axis_value,
-                    "estimator": r.estimator,
-                    "nmse_db": r.nmse_db,
-                    "stderr_db": r.stderr_db,
-                    "trials": r.trials,
-                    "excluded": r.excluded,
-                    "realized_n": r.realized_n,
-                    "flagged": r.flagged,
-                    "draw_digest": r.draw_digest,
-                }
-                for r in self.rows
-            ],
-        }
+        payload = {"meta": self.meta, "rows": [asdict(r) for r in self.rows]}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json_string())
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _csv_cell(kind, value):
+    if kind is float:
+        return f"{value:.9g}"
+    if kind is bool:
+        return "1" if value else "0"
+    return str(value)
 
 
 def nmse_db(estimates, d_true):
@@ -351,9 +353,8 @@ def _make_point_context(spec, axis_index):
     d = scene.distance
     bracket = (d / 20.0, d * 20.0)
     cfg_common = dict(search_bracket=bracket, tolerance=1e-6, max_iterations=200)
-    cfg_mle = EstimatorConfig(method="fas_mle", frozen_weights=spec.mle_frozen_weights,
-                              **cfg_common)
-    cfg_ls = EstimatorConfig(method="fas_ls", **cfg_common)
+    cfg_mle = EstimatorConfig(frozen_weights=spec.mle_frozen_weights, **cfg_common)
+    cfg_ls = EstimatorConfig(**cfg_common)
     return _PointContext(axis_index=axis_index, base_seed=spec.base_seed,
                          estimators=ests, layout=layout, scene=scene, factors=factors,
                          means=means, a_coeff=a_coeff, cfg_mle=cfg_mle, cfg_ls=cfg_ls)
@@ -522,18 +523,18 @@ def find_extrema(table, estimator, window):
     return found
 
 
-def fig2_spec(base_seed=42, trials=10000, output_path=None):
+def fig2_spec(base_seed=42, trials=10000):
     """SNR sweep preset: N = 12, W = 0.5, all four estimators."""
     return ExperimentSpec(
         sweep_axis="snr_db", axis_values=FIG2_SNR_VALUES, trials=trials,
         base_seed=base_seed, estimators=list(METHODS), scene=default_scene(),
         wavelength=PRESET_WAVELENGTH, spacing=PRESET_SPACING,
         correlation_model=CorrelationModel.AVERAGE_MU,
-        n_ports=12, aperture=0.5, output_path=output_path,
+        n_ports=12, aperture=0.5,
     )
 
 
-def fig3_spec(spacing_h=0.01, base_seed=42, trials=10000, output_path=None):
+def fig3_spec(spacing_h=0.01, base_seed=42, trials=10000):
     """Aperture sweep preset at SNR 10 dB and fixed per-port pitch.
 
     The realized port count round(W / spacing_h) varies along the axis and
@@ -544,5 +545,5 @@ def fig3_spec(spacing_h=0.01, base_seed=42, trials=10000, output_path=None):
         base_seed=base_seed, estimators=["fas_ls"], scene=default_scene(),
         wavelength=PRESET_WAVELENGTH, spacing=PRESET_SPACING,
         correlation_model=CorrelationModel.AVERAGE_MU,
-        snr_db=10.0, spacing_h=spacing_h, output_path=output_path,
+        snr_db=10.0, spacing_h=spacing_h,
     )

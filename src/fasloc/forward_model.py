@@ -103,6 +103,7 @@ class RssiProfile:
         self._offs_sq = offs ** 2
         self._two_offs = 2.0 * offs
         self._cos = np.cos(theta)
+        self._two_offs_cos = self._two_offs * self._cos
         self._level = 30.0 + 20.0 * np.log10(amp_const)
         self._slope = 5.0 * path_loss_exp
 
@@ -120,8 +121,23 @@ class RssiProfile:
 
     def derivative(self, d, di_sq):
         """Exact dM_i/dd from the distances and their squared port distances."""
-        num = 2.0 * d[:, np.newaxis] - self._two_offs * self._cos
+        num = 2.0 * d[:, np.newaxis] - self._two_offs_cos
         return -(self._slope / _LN10) * num / di_sq
+
+    def dropped_term_derivative(self, d):
+        """dM_i/dd with the quadratic offset term dropped, for distances d of
+        shape (M,): (M, N). The weighted-ML solver's weights are built from
+
+            -(10/ln 10) * (2d - 2*off_i*cos(theta)) / (d^2 - 2*off_i*d*cos(theta))
+
+        (the offsets are small against d). It is singular at d equal to
+        twice a projected port offset, which raises.
+        """
+        dv = d[:, np.newaxis]
+        den = dv ** 2 - self._two_offs * dv * self._cos
+        if np.count_nonzero(den == 0.0):
+            raise ValueError("derivative singular: d equals twice a projected port offset")
+        return -(10.0 / _LN10) * (2.0 * dv - self._two_offs_cos) / den
 
 
 def predicted_rssi(layout, d, theta, amp_const, path_loss_exp=2.0):
@@ -134,34 +150,6 @@ def predicted_rssi(layout, d, theta, amp_const, path_loss_exp=2.0):
     d = np.asarray(d, dtype=float)
     rssi = profile.rssi(profile.dist_sq(d.reshape(-1)))
     return rssi[0] if d.ndim == 0 else rssi
-
-
-def port_distance(layout, scene, i):
-    """Distance from port i to the transmitter, in metres.
-
-    Port 0 is the reference port at the origin, so port_distance(..., 0)
-    equals the scene distance exactly.
-    """
-    n = layout.n_ports
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"port index {i} out of range for {n} ports")
-    off = float(layout.port_offsets_m()[i])
-    di_sq = off ** 2 + scene.distance ** 2 \
-        - 2.0 * off * scene.distance * np.cos(scene.bearing)
-    if di_sq <= 0.0:
-        raise ValueError("degenerate geometry: transmitter coincides with a port")
-    return float(np.sqrt(di_sq))
-
-
-def mean_rssi(layout, scene, i):
-    """Noiseless mean RSSI at port i, in dBm.
-
-    Returns 10*log10(A^2 / d_i^n) + 30; at n = 2 this coincides with the
-    30 - 20*log10(d_i / A) form to machine precision.
-    """
-    d_i = port_distance(layout, scene, i)
-    a = scene.amp_const(layout.wavelength)
-    return float(30.0 + 20.0 * np.log10(a) - 10.0 * scene.path_loss_exp * np.log10(d_i))
 
 
 def snr_to_sigma2(snr_db):

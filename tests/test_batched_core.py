@@ -20,10 +20,10 @@ from scipy.optimize import brentq, minimize_scalar
 import fasloc
 from fasloc import estimators, experiments
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, _deriv_vector,
-                               kappa_constant, solve_ls, solve_mle)
+from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, kappa_constant,
+                               solve_ls, solve_mle)
 from fasloc.experiments import fig2_spec, fig3_spec
-from fasloc.forward_model import predicted_rssi, simulate_measurements
+from fasloc.forward_model import RssiProfile, predicted_rssi, simulate_measurements
 
 LS_TOL = 1e-6
 MLE_TOL = 1e-9
@@ -50,9 +50,10 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
     lo, hi = cfg.search_bracket
     pole = 2.0 * float(np.max(offsets)) * math.cos(theta)
     lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
+    deriv = RssiProfile(layout, theta, amp, n_exp).dropped_term_derivative
     frozen_b = None
     if cfg.frozen_weights:
-        derivs = _deriv_vector(offsets, 0.5 * (lo + hi), theta)
+        derivs = deriv(np.array([0.5 * (lo + hi)]))[0]
         frozen_b = derivs - kap * derivs.sum()
 
     def g_batch(d_values):
@@ -60,7 +61,7 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
         if frozen_b is not None:
             b = frozen_b[np.newaxis, :]
         else:
-            derivs = _deriv_vector(offsets, d_values, theta)
+            derivs = deriv(d_values)
             b = derivs - kap * derivs.sum(axis=1, keepdims=True)
         return np.sum(b * (x[np.newaxis, :] - model), axis=1)
 

@@ -79,6 +79,20 @@ def test_negative_seed_values_are_rejected_not_wrapped():
         philox_keys((1, 0), np.array([0, -2]))
 
 
+@pytest.mark.parametrize("seed", [5.7, (1, 2.0), True, (3, False), np.float64(5.0)])
+def test_non_integral_seed_values_are_rejected_not_truncated(seed):
+    with pytest.raises(TypeError):
+        rng_from_seed(seed)
+    with pytest.raises(TypeError):
+        philox_keys(seed, np.arange(3))
+
+
+def test_numpy_integer_seed_values_keep_their_streams():
+    np.testing.assert_array_equal(philox_keys(np.int64(5)), philox_keys(5))
+    np.testing.assert_array_equal(philox_keys((np.uint32(1), np.int8(2)), np.arange(4)),
+                                  philox_keys((1, 2), np.arange(4)))
+
+
 def test_normal_rows_equal_per_trial_generators():
     z = standard_normal_rows((42, 3), np.arange(10, 60), 17)
     for i, t in enumerate(range(10, 60)):

@@ -5,8 +5,8 @@ import pytest
 
 import fasloc.channel as channel
 from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
-                            average_mu_squared, build_covariance, mu_k,
-                            rho_pair, rng_from_seed, sample_fading)
+                            average_mu_squared, build_covariance, lag_correlations,
+                            rng_from_seed, sample_fading)
 from fasloc.specfun import bessel_j0
 
 J0_PI = -0.3042421776440939          # J0(pi), high-precision series value
@@ -43,53 +43,49 @@ def test_correlation_step_requires_two_ports_for_endpoint():
 
 
 # ---------------------------------------------------------------- mu_k / rho
+# mu_k (port k against port 0) and rho(k, l) in the correlation model's
+# notation are both the lag entries of lag_correlations.
 
 def test_mu_k_reference_port_is_unity():
-    assert mu_k(FasLayout(12, 0.5), 0) == 1.0
+    assert lag_correlations(FasLayout(12, 0.5))[0] == 1.0
 
 
 def test_mu_k_two_ports_half_wavelength():
-    assert mu_k(FasLayout(2, 0.5), 1) == pytest.approx(J0_PI, abs=1e-9)
+    assert lag_correlations(FasLayout(2, 0.5))[1] == pytest.approx(J0_PI, abs=1e-9)
 
 
 def test_mu_k_last_port_of_twelve():
     # 2*pi*11*0.5/11 collapses to pi
-    assert mu_k(FasLayout(12, 0.5), 11) == pytest.approx(J0_PI, abs=1e-9)
+    assert lag_correlations(FasLayout(12, 0.5))[11] == pytest.approx(J0_PI, abs=1e-9)
 
 
 def test_mu_k_bounds_checked():
-    lay = FasLayout(12, 0.5)
+    assert lag_correlations(FasLayout(12, 0.5)).shape == (12,)
     with pytest.raises(ValueError):
-        mu_k(lay, 12)
-    with pytest.raises(ValueError):
-        mu_k(lay, -1)
-    with pytest.raises(ValueError):
-        mu_k(FasLayout(1, 0.5, spacing="index"), 0)
+        lag_correlations(FasLayout(1, 0.5, spacing="index"))
 
 
 def test_rho_pair_adjacent_ports():
-    assert rho_pair(FasLayout(12, 0.5), 5, 4) == pytest.approx(J0_PI_OVER_11, abs=1e-9)
+    assert lag_correlations(FasLayout(12, 0.5))[abs(5 - 4)] == pytest.approx(
+        J0_PI_OVER_11, abs=1e-9)
 
 
 def test_rho_pair_extreme_ports():
-    assert rho_pair(FasLayout(12, 0.5), 0, 11) == pytest.approx(J0_PI, abs=1e-6)
-
-
-def test_rho_pair_self_correlation_rejected():
-    with pytest.raises(ValueError):
-        rho_pair(FasLayout(12, 0.5), 3, 3)
+    assert lag_correlations(FasLayout(12, 0.5))[abs(0 - 11)] == pytest.approx(J0_PI, abs=1e-6)
 
 
 def test_rho_pair_symmetric_and_lag_only():
     lay = FasLayout(9, 0.7)
     rng = np.random.default_rng(7)
     step = lay.correlation_step()
+    rho = lag_correlations(lay)
+    jakes = build_covariance(lay, CorrelationModel.JAKES_EXACT, 1.0).entries
     for _ in range(100):
         k, l = rng.integers(0, 9, size=2)
         if k == l:
             continue
-        assert rho_pair(lay, k, l) == rho_pair(lay, l, k)
-        assert rho_pair(lay, k, l) == bessel_j0(2 * np.pi * abs(k - l) * step)
+        assert jakes[k, l] == jakes[l, k] == rho[abs(k - l)]
+        assert rho[abs(k - l)] == bessel_j0(2 * np.pi * abs(k - l) * step)
 
 
 # ---------------------------------------------------------------- average mu^2
@@ -166,7 +162,7 @@ def test_jakes_covariance_structure_and_psd():
         # isotropic scattering correlation on a line is PSD up to rounding
         assert np.linalg.eigvalsh(cov.entries / 2.0 - cov.shift * np.eye(n))[0] >= -1e-12
         if n >= 3:
-            assert cov.entries[0, 2] == pytest.approx(2.0 * rho_pair(lay, 0, 2), rel=1e-12)
+            assert cov.entries[0, 2] == pytest.approx(2.0 * lag_correlations(lay)[2], rel=1e-12)
 
 
 def test_covariance_rejects_bad_sigma():

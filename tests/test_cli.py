@@ -2,17 +2,23 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.cli import main
+from fasloc.cli import _read_config, main
 from fasloc.forward_model import (Scene, predicted_rssi, simulate_measurements,
                                   write_measurements)
 from fasloc.forward_model import MeasurementSet
 
 A_DEFAULT = 3.14557575653044e-4
+README = Path(__file__).resolve().parents[1] / "README.md"
+# spec_sha256 of the README's example config, computed before the config
+# schema was derived from the dataclass fields
+README_CONFIG_SHA256 = "4710cc25e6b1b3a60cc7c4835a66c7afdf6a2229a87e03afb1925e81f5b8368f"
 
 
 def run_cli(*argv):
@@ -116,6 +122,41 @@ def test_reproduce_config_rejects_a_bad_base_seed_with_exit_2(tmp_path, capsys, 
     assert run_cli("reproduce", "--config", str(cfg_path)) == 2
     assert "base_seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("trials", 150.9), ("mle_frozen_weights", "no")])
+def test_reproduce_config_rejects_a_bad_trials_or_flag_with_exit_2(tmp_path, capsys,
+                                                                   key, value):
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"sweep_axis": "snr_db", "axis_values": [0.0],
+                                    "trials": 150, "estimators": ["fas_mle"],
+                                    "layout": {"n_ports": 8, "aperture": 0.5},
+                                    "output": str(out), key: value}))
+    assert run_cli("reproduce", "--config", str(cfg_path)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["layout", "scene"])
+def test_reproduce_config_rejects_unknown_nested_keys(tmp_path, capsys, level):
+    cfg = {"sweep_axis": "snr_db", "axis_values": [0.0], "trials": 100,
+           "estimators": ["fas_ls"], "layout": {"n_ports": 8, "aperture": 0.5},
+           "scene": {"distance": 10.0}}
+    cfg[level]["turbo"] = True
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("reproduce", "--config", str(cfg_path)) == 2
+    assert f"config.{level}" in capsys.readouterr().err
+
+
+def test_readme_config_spec_hash_is_pinned(tmp_path):
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(block)
+    spec, output = _read_config(cfg_path)
+    assert output == "sweep.csv"
+    assert spec.sha256() == README_CONFIG_SHA256
 
 
 def test_reproduce_requires_preset_or_config(capsys):

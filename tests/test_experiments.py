@@ -1,7 +1,9 @@
 """Sweep runner: NMSE aggregation, determinism, pairing, and table format."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,21 @@ import pytest
 import fasloc.experiments as experiments
 from fasloc.channel import CorrelationModel
 from fasloc.estimators import Estimate
-from fasloc.experiments import (ExperimentSpec, ResultRow, ResultTable,
-                                default_scene, doubling_gain, fig2_spec,
-                                fig3_spec, find_extrema, nmse_db,
-                                run_experiment)
+from fasloc.experiments import (FIG2_SNR_VALUES, METHODS, ExperimentSpec,
+                                ResultRow, ResultTable, default_scene,
+                                doubling_gain, fig2_spec, fig3_spec,
+                                find_extrema, nmse_db, run_experiment)
+
+# Byte pins of the spec hash and the serialised tables, computed before the
+# spec schema and the row serialiser were derived from the dataclass fields.
+SPEC_SHA256 = {
+    "fig2": "318abdef9f2ff9c49ed691281f6f4b2cf376da26292ea6bf1dd7abe33eb3a0d8",
+    "fig3_h0.05": "a6cf52185b11e0cabbfc5895159ab044b228a4924c7d4428a93910130b56eb96",
+    "fig3_h0.01": "18292831137834103accbeee5262c7f5d2a4f1474d0882b69ef73c34e13a1759",
+    "small": "b8849a1e2bbe66660829c7c78e9ddfb0178cb45436655058627751a7cdf5e482",
+}
+SMALL_CSV_SHA256 = "278d59c3782fd5df41e4e053bb66f9c4292fd61f8b36e2a179d837aebbd8bf37"
+SMALL_JSON_SHA256 = "ed880a5dcd772a60f74943273844b8143bc0e6917d3587b0f7b12ba220709d80"
 
 
 def small_spec(**overrides):
@@ -86,6 +99,53 @@ def test_spec_rejects_a_base_seed_that_is_not_a_non_negative_integer(seed):
         small_spec(base_seed=seed).validate()
     small_spec(base_seed=np.int64(3)).validate()
     small_spec(base_seed=2 ** 64 + 5).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 150.9), ("trials", 150.0), ("trials", True), ("trials", "150"),
+    ("mle_frozen_weights", "no"), ("mle_frozen_weights", 1), ("mle_frozen_weights", None),
+])
+def test_spec_rejects_non_integer_trials_and_non_bool_flag(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_spec(**{field: value}).validate()
+    small_spec(trials=np.int64(150), mle_frozen_weights=True).validate()
+
+
+def test_spec_hash_pins():
+    assert fig2_spec().sha256() == SPEC_SHA256["fig2"]
+    assert fig3_spec(0.05).sha256() == SPEC_SHA256["fig3_h0.05"]
+    assert fig3_spec(0.01).sha256() == SPEC_SHA256["fig3_h0.01"]
+    assert small_spec().sha256() == SPEC_SHA256["small"]
+
+
+def fig2_config(**overrides):
+    cfg = {"sweep_axis": "snr_db", "axis_values": list(FIG2_SNR_VALUES), "trials": 10000,
+           "estimators": list(METHODS), "layout": {"n_ports": 12, "aperture": 0.5}}
+    cfg.update(overrides)
+    return cfg
+
+
+def test_from_dict_defaults_reproduce_the_fig2_preset():
+    assert ExperimentSpec.from_dict(fig2_config()).to_dict() == fig2_spec().to_dict()
+    spec = ExperimentSpec.from_dict(fig2_config(scene={"tx_power_dbm": -3},
+                                                correlation_model="jakes"))
+    assert spec.scene == replace(default_scene(), tx_power_dbm=-3)
+    assert spec.correlation_model is CorrelationModel.JAKES_EXACT
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (fig2_config(turbo=True), "turbo"),
+    (fig2_config(n_ports=12), "n_ports"),  # a layout field, only under "layout"
+    (fig2_config(layout={"n_ports": 12, "aperture": 0.5, "pitch": 1}), "pitch"),
+    (fig2_config(scene={"range": 5.0}), "range"),
+    (fig2_config(scene=[1, 2]), "config.scene"),
+    ({k: v for k, v in fig2_config().items() if k != "trials"}, "trials"),
+    (fig2_config(trials=150.9), "trials"),
+    (fig2_config(mle_frozen_weights="no"), "mle_frozen_weights"),
+])
+def test_from_dict_rejects_bad_configs(cfg, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_dict(cfg)
 
 
 def test_spec_hash_tracks_content():
@@ -242,6 +302,13 @@ def test_csv_layout(small_table, tmp_path):
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0].split(",")[0] == "axis_value"
     assert len(body) == 1 + len(small_table.rows)
+
+
+def test_serialised_tables_are_pinned(small_table):
+    assert small_table.meta["spec_sha256"] == SPEC_SHA256["small"]
+    csv_text, json_text = small_table.to_csv_string(), small_table.to_json_string()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == SMALL_CSV_SHA256
+    assert hashlib.sha256(json_text.encode()).hexdigest() == SMALL_JSON_SHA256
 
 
 def test_json_twin_matches_rows(small_table, tmp_path):

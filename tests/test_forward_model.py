@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.forward_model import (MeasurementSet, Scene, mean_rssi,
-                                  port_distance, predicted_rssi,
-                                  read_measurements, simulate_measurements,
-                                  snr_to_sigma2, write_measurements)
+from fasloc.forward_model import (MeasurementSet, RssiProfile, Scene,
+                                  predicted_rssi, read_measurements,
+                                  simulate_measurements, snr_to_sigma2,
+                                  write_measurements)
 
 # Independently computed link constant for 0 dBm, unit gains, 0.125 m:
 # A = sqrt(1e-3 * 0.125^2) / (4 pi)
@@ -22,6 +22,19 @@ def default_scene(**kw):
                 gain_tx=1.0, gain_rx=1.0, path_loss_exp=2.0)
     base.update(kw)
     return Scene(**base)
+
+
+def port_distances(lay, scene):
+    """Distance from each port to the transmitter, from RssiProfile.dist_sq."""
+    profile = RssiProfile(lay, scene.bearing, scene.amp_const(lay.wavelength),
+                          scene.path_loss_exp)
+    return np.sqrt(profile.dist_sq(np.array([scene.distance]))[0])
+
+
+def mean_profile(lay, scene):
+    """Noiseless mean RSSI at each port of the layout."""
+    return predicted_rssi(lay, scene.distance, scene.bearing,
+                          scene.amp_const(lay.wavelength), scene.path_loss_exp)
 
 
 # ---------------------------------------------------------------- scene
@@ -45,7 +58,7 @@ def test_amp_const_value():
 
 def test_reference_port_distance_is_scene_distance():
     lay = FasLayout(12, 0.5, 0.125)
-    assert port_distance(lay, default_scene(), 0) == 10.0
+    assert port_distances(lay, default_scene())[0] == 10.0
 
 
 def test_broadside_distance_pythagorean():
@@ -53,20 +66,20 @@ def test_broadside_distance_pythagorean():
     scene = default_scene(bearing=math.pi / 2.0)
     # offset of port 3 is 3*0.5/12 = 0.125 m; cos term vanishes
     expected = math.sqrt(10.0 ** 2 + 0.125 ** 2)
-    assert port_distance(lay, scene, 3) == pytest.approx(expected, abs=1e-12)
+    assert port_distances(lay, scene)[3] == pytest.approx(expected, abs=1e-12)
 
 
 def test_collinear_distance():
     lay = FasLayout(12, 0.5, wavelength=1.0)
     scene = default_scene(bearing=0.0)
     # last port offset 11*0.5/12 m, directly toward the transmitter
-    assert port_distance(lay, scene, 11) == pytest.approx(10.0 - 11 * 0.5 / 12, abs=1e-9)
+    assert port_distances(lay, scene)[11] == pytest.approx(10.0 - 11 * 0.5 / 12, abs=1e-9)
 
 
 def test_broadside_distances_non_decreasing():
     lay = FasLayout(16, 0.8, wavelength=1.0)
     scene = default_scene(bearing=math.pi / 2.0)
-    dists = [port_distance(lay, scene, i) for i in range(16)]
+    dists = port_distances(lay, scene)
     assert all(b >= a for a, b in zip(dists, dists[1:]))
 
 
@@ -74,9 +87,9 @@ def test_degenerate_geometry_rejected():
     lay = FasLayout(2, 1.0, wavelength=1.0, spacing="index")
     scene = default_scene(distance=1.0, bearing=0.0)  # transmitter on port 1
     with pytest.raises(ValueError):
-        port_distance(lay, scene, 1)
+        port_distances(lay, scene)
     with pytest.raises(ValueError):
-        port_distance(lay, scene, 5)
+        mean_profile(lay, scene)
 
 
 # ---------------------------------------------------------------- mean rssi
@@ -84,18 +97,18 @@ def test_degenerate_geometry_rejected():
 def test_mean_rssi_at_reference_amplitude():
     scene = default_scene(distance=A_DEFAULT)
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
-    assert mean_rssi(lay, scene, 0) == pytest.approx(30.0, abs=1e-9)
+    assert mean_profile(lay, scene)[0] == pytest.approx(30.0, abs=1e-9)
 
 
 def test_mean_rssi_one_decade():
     scene = default_scene(distance=10.0 * A_DEFAULT)
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
-    assert mean_rssi(lay, scene, 0) == pytest.approx(10.0, abs=1e-9)
+    assert mean_profile(lay, scene)[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_mean_rssi_benchmark_scene_value():
     lay = FasLayout(12, 0.5, 0.125)
-    assert mean_rssi(lay, default_scene(), 0) == pytest.approx(M0_DEFAULT, abs=1e-9)
+    assert mean_profile(lay, default_scene())[0] == pytest.approx(M0_DEFAULT, abs=1e-9)
 
 
 def test_general_path_loss_exponent():
@@ -103,13 +116,13 @@ def test_general_path_loss_exponent():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
     near = default_scene(distance=2.0, path_loss_exp=4.0)
     far = default_scene(distance=20.0, path_loss_exp=4.0)
-    drop = mean_rssi(lay, near, 0) - mean_rssi(lay, far, 0)
+    drop = mean_profile(lay, near)[0] - mean_profile(lay, far)[0]
     assert drop == pytest.approx(40.0, abs=1e-9)
 
 
 def test_mean_rssi_decreasing_in_distance():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
-    vals = [mean_rssi(lay, default_scene(distance=d), 0) for d in (1, 5, 10, 50, 200)]
+    vals = [mean_profile(lay, default_scene(distance=d))[0] for d in (1, 5, 10, 50, 200)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -121,9 +134,9 @@ def test_path_loss_two_matches_explicit_log_ratio_form():
                               bearing=float(rng.uniform(0.0, math.pi)),
                               tx_power_dbm=float(rng.uniform(-20.0, 20.0)))
         i = int(rng.integers(0, 6))
-        d_i = port_distance(lay, scene, i)
+        d_i = port_distances(lay, scene)[i]
         a = scene.amp_const(lay.wavelength)
-        assert mean_rssi(lay, scene, i) == pytest.approx(
+        assert mean_profile(lay, scene)[i] == pytest.approx(
             30.0 - 20.0 * math.log10(d_i / a), abs=1e-9)
 
 
@@ -153,7 +166,7 @@ def test_noiseless_limit():
     scene = default_scene()
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1e-12)
     ms = simulate_measurements(lay, scene, cov, 7, 1)[0]
-    means = np.array([mean_rssi(lay, scene, i) for i in range(12)])
+    means = mean_profile(lay, scene)
     assert np.max(np.abs(ms.rssi_dbm - means)) <= 1e-4
 
 
@@ -186,7 +199,7 @@ def test_iid_residual_variance():
     cov = build_covariance(lay, CorrelationModel.INDEPENDENT, sigma2)
     snaps = simulate_measurements(lay, scene, cov, 11, 100_000)
     resid = np.stack([s.rssi_dbm for s in snaps]) \
-        - np.array([mean_rssi(lay, scene, i) for i in range(3)])
+        - mean_profile(lay, scene)
     var = resid.var(axis=0)
     assert np.all(np.abs(var - sigma2) <= 0.05 * sigma2)
 
@@ -199,7 +212,7 @@ def test_correlated_residual_correlation():
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1.0)
     snaps = simulate_measurements(lay, scene, cov, 13, 100_000)
     resid = np.stack([s.rssi_dbm for s in snaps]) \
-        - np.array([mean_rssi(lay, scene, i) for i in range(12)])
+        - mean_profile(lay, scene)
     corr = np.corrcoef(resid.T)
     off = corr[~np.eye(12, dtype=bool)]
     assert np.all(np.abs(off - a) <= 0.02)
