@@ -12,20 +12,20 @@ __version__ = "0.1.0"
 from .channel import (CorrelationModel, CovarianceMatrix, FasLayout,
                       ModelValidityError, average_mu_squared, build_covariance,
                       lag_correlations, rng_from_seed, sample_fading)
-from .estimators import (Estimate, EstimatorConfig, estimate_ls, estimate_mle,
-                         estimate_single_antenna, kappa_constant)
-from .forward_model import (MeasurementSet, Scene, predicted_rssi,
-                            read_measurements, simulate_measurements,
-                            snr_to_sigma2, write_measurements)
+from .estimators import (EstimatorConfig, kappa_constant, solve_ls, solve_mle,
+                         solve_single_antenna)
+from .forward_model import (Scene, predicted_rssi, read_measurements,
+                            simulate_measurements, snr_to_sigma2,
+                            write_measurements)
 from .specfun import bessel_j0
 
 __all__ = [
     "CorrelationModel", "CovarianceMatrix", "FasLayout", "ModelValidityError",
     "average_mu_squared", "build_covariance", "lag_correlations",
     "rng_from_seed", "sample_fading",
-    "Estimate", "EstimatorConfig", "estimate_ls", "estimate_mle",
-    "estimate_single_antenna", "kappa_constant",
-    "MeasurementSet", "Scene", "predicted_rssi", "read_measurements",
+    "EstimatorConfig", "kappa_constant", "solve_ls", "solve_mle",
+    "solve_single_antenna",
+    "Scene", "predicted_rssi", "read_measurements",
     "simulate_measurements", "snr_to_sigma2", "write_measurements",
     "bessel_j0",
     "__version__",

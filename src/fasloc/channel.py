@@ -28,6 +28,7 @@ Three correlation models produce an N x N unit-diagonal matrix:
 * ``INDEPENDENT``  identity (conventional multipoint array).
 """
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,6 +52,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+
+
+def _check_real(name, value):
+    """``value`` if it is a real number; a bool, a string or None raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 class ModelValidityError(ValueError):
@@ -82,6 +90,8 @@ class FasLayout:
     spacing: str = "endpoint"
 
     def __post_init__(self):
+        for name in ("n_ports", "aperture", "wavelength"):
+            _check_real(name, getattr(self, name))
         if int(self.n_ports) != self.n_ports or self.n_ports < 1:
             raise ValueError(f"n_ports must be a positive integer, got {self.n_ports}")
         object.__setattr__(self, "n_ports", int(self.n_ports))
@@ -117,7 +127,7 @@ class FasLayout:
 
 @dataclass
 class CovarianceMatrix:
-    """sigma^2-scaled port covariance with its PSD-repair bookkeeping.
+    """Scaled port covariance sigma2 * R with its PSD-repair bookkeeping.
 
     ``entries`` is symmetric with diagonal sigma2 * (1 + shift); ``shift`` is
     the diagonal loading (in correlation units) applied when the raw model
@@ -125,7 +135,6 @@ class CovarianceMatrix:
     """
 
     entries: np.ndarray
-    sigma2: float
     regularized: bool = False
     shift: float = 0.0
     _factor: np.ndarray = field(default=None, repr=False, compare=False)
@@ -219,8 +228,7 @@ def build_covariance(layout, model, sigma2):
         r = r + shift * np.eye(n)
         regularized = True
 
-    return CovarianceMatrix(entries=sigma2 * r, sigma2=float(sigma2),
-                            regularized=regularized, shift=shift)
+    return CovarianceMatrix(entries=sigma2 * r, regularized=regularized, shift=shift)
 
 
 def _seed_words(values):

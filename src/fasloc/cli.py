@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ import numpy as np
 from . import __version__
 from .channel import (CorrelationModel, FasLayout, ModelValidityError,
                       average_mu_squared, build_covariance, lag_correlations)
-from .estimators import (EstimatorConfig, estimate_ls, estimate_mle,
-                         estimate_single_antenna, kappa_constant)
+from .estimators import (EstimatorConfig, kappa_constant, solve_ls, solve_mle,
+                         solve_single_antenna)
 from .experiments import ExperimentSpec, fig2_spec, fig3_spec, run_experiment
 from .forward_model import read_measurements
 
@@ -86,6 +87,8 @@ def _read_config(path):
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     output = cfg.pop("output", None)
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"config output must be a path string, got {output!r}")
     return ExperimentSpec.from_dict(cfg), output
 
 
@@ -145,28 +148,22 @@ def _cmd_estimate(args):
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     layout = FasLayout(args.n_ports, args.aperture, args.wavelength, args.spacing)
-    measurements = read_measurements(args.input, layout)
+    rows = read_measurements(args.input, layout.n_ports)
     cfg = EstimatorConfig(search_bracket=tuple(args.bracket), tolerance=args.tolerance)
+    link = (args.amp_const, args.path_loss_exp)
+    # snapshots are averaged port-wise; a one-port stream is one row of readings
     if args.method == "mle":
-        a = average_mu_squared(layout)
-        result = estimate_mle(measurements, args.theta, a, cfg,
-                              amp_const=args.amp_const,
-                              path_loss_exp=args.path_loss_exp)
+        batch = solve_mle(rows.mean(axis=0, keepdims=True), layout, args.theta,
+                          average_mu_squared(layout), cfg, *link)
     elif args.method == "ls":
-        result = estimate_ls(measurements, args.theta, cfg,
-                             amp_const=args.amp_const,
-                             path_loss_exp=args.path_loss_exp)
+        batch = solve_ls(rows.mean(axis=0, keepdims=True), layout, args.theta, cfg, *link)
     else:
-        result = estimate_single_antenna(measurements, cfg,
-                                         amp_const=args.amp_const,
-                                         path_loss_exp=args.path_loss_exp)
-    print(json.dumps({
-        "d_hat": result.d_hat,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "objective_value": result.objective_value,
-    }, sort_keys=True, allow_nan=False))
-    return EXIT_OK if result.converged else EXIT_NOCONV
+        if layout.n_ports != 1:
+            raise ValueError("single-antenna estimation requires one-port snapshots")
+        batch = solve_single_antenna(rows.reshape(1, -1), *link)
+    result = {f.name: getattr(batch, f.name)[0].item() for f in fields(batch)}
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
+    return EXIT_OK if result["converged"] else EXIT_NOCONV
 
 
 def _cmd_inspect(args):

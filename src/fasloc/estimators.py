@@ -32,8 +32,8 @@ Three families:
 
 Both root problems go through ``_brentq``, an operation-for-operation port
 of scipy's ``brentq`` in which every row carries its own bracket and stops
-on its own. ``estimate_mle``, ``estimate_ls`` and
-``estimate_single_antenna`` take MeasurementSets and solve a batch of one.
+on its own. The solvers are the one place that checks their input: the
+readings, the bearing and the link constants.
 """
 
 import math
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward_model import MeasurementSet, RssiProfile
+from .forward_model import RssiProfile
 
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
@@ -72,14 +72,6 @@ class EstimatorConfig:
 
 
 @dataclass
-class Estimate:
-    d_hat: float
-    converged: bool
-    iterations: int
-    objective_value: float
-
-
-@dataclass
 class EstimateBatch:
     """Per-row results of one batched solve."""
 
@@ -87,11 +79,6 @@ class EstimateBatch:
     converged: np.ndarray
     iterations: np.ndarray
     objective_value: np.ndarray
-
-    def row(self, i):
-        return Estimate(d_hat=float(self.d_hat[i]), converged=bool(self.converged[i]),
-                        iterations=int(self.iterations[i]),
-                        objective_value=float(self.objective_value[i]))
 
     def split(self, parts):
         """The batch cut into ``parts`` equal blocks of consecutive rows."""
@@ -270,18 +257,27 @@ def _cells(j, size):
     return np.maximum(j - 1, 0), np.minimum(j + 1, size - 1)
 
 
-def _check_rows(X):
+def _check_rows(X, n_ports=None):
+    """X as a non-empty, finite (rows, ports) float array of width n_ports."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"readings must be a (rows, ports) array, got shape {X.shape}")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"readings must be a non-empty (rows, ports) array, "
+                         f"got shape {X.shape}")
+    if n_ports is not None and X.shape[1] != n_ports:
+        raise ValueError(f"readings have {X.shape[1]} ports, layout has {n_ports}")
     if not np.isfinite(X).all():
         raise ValueError("readings must be finite")
     return X
 
 
-def _check_theta(theta):
+def _check_scalars(amp_const, path_loss_exp, theta=0.0):
+    """Raise unless the bearing is finite and the link constants positive
+    and finite."""
     if not math.isfinite(theta):
         raise ValueError(f"bearing theta must be finite, got {theta}")
+    for name, value in (("amp_const", amp_const), ("path_loss_exp", path_loss_exp)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
@@ -294,8 +290,8 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
     endpoint beats that minimum the objective was not unimodal on the
     bracket: the interior point is still returned, flagged converged=False.
     """
-    X = _check_rows(X)
-    _check_theta(theta)
+    X = _check_rows(X, layout.n_ports)
+    _check_scalars(amp_const, path_loss_exp, theta)
     lo, hi = cfg.search_bracket
     profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     res = _Residual(profile, profile.derivative)
@@ -334,8 +330,8 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     converged=False.
     """
     kap = kappa_constant(a, layout.n_ports)
-    X = _check_rows(X)
-    _check_theta(theta)
+    X = _check_rows(X, layout.n_ports)
+    _check_scalars(amp_const, path_loss_exp, theta)
     rows = X.shape[0]
     lo, hi = cfg.search_bracket
 
@@ -427,78 +423,10 @@ def solve_single_antenna(X, amp_const, path_loss_exp):
     readings' squared deviation about their mean.
     """
     X = _check_rows(X)
+    _check_scalars(amp_const, path_loss_exp)
     x_bar = X.mean(axis=1)
     d_hat = amp_const ** (2.0 / path_loss_exp) * 10.0 ** ((30.0 - x_bar) / (10.0 * path_loss_exp))
     residual = np.sum((X - x_bar[:, np.newaxis]) ** 2, axis=1)
     return EstimateBatch(d_hat=d_hat, converged=np.ones(X.shape[0], dtype=bool),
                          iterations=np.zeros(X.shape[0], dtype=np.int64),
                          objective_value=residual)
-
-
-def _as_snapshot_mean(ms):
-    """Per-port mean vector and the carrier MeasurementSet.
-
-    Accepts one MeasurementSet or a sequence; multiple snapshots are averaged
-    port-wise before solving.
-    """
-    if isinstance(ms, MeasurementSet):
-        return ms.rssi_dbm.astype(float), ms
-    seq = list(ms)
-    if not seq:
-        raise ValueError("empty measurement stream")
-    first = seq[0]
-    for other in seq[1:]:
-        if other.layout.n_ports != first.layout.n_ports:
-            raise ValueError("all snapshots in a stream must share one layout")
-    x = np.mean([m.rssi_dbm for m in seq], axis=0)
-    return x.astype(float), first
-
-
-def _resolve_link(ms, amp_const, path_loss_exp):
-    if amp_const is None or path_loss_exp is None:
-        if ms.scene_truth is None:
-            raise ValueError(
-                "measurement carries no scene truth; pass amp_const and path_loss_exp explicitly"
-            )
-        if amp_const is None:
-            amp_const = ms.scene_truth.amp_const(ms.layout.wavelength)
-        if path_loss_exp is None:
-            path_loss_exp = ms.scene_truth.path_loss_exp
-    amp_const, path_loss_exp = float(amp_const), float(path_loss_exp)
-    if not (0.0 < amp_const < math.inf):
-        raise ValueError(f"amp_const must be positive and finite, got {amp_const}")
-    if not (0.0 < path_loss_exp < math.inf):
-        raise ValueError(f"path_loss_exp must be positive and finite, got {path_loss_exp}")
-    return amp_const, path_loss_exp
-
-
-def estimate_ls(ms, theta, cfg, amp_const=None, path_loss_exp=None):
-    """Least-squares distance estimate from one snapshot or several
-    (averaged port-wise); see solve_ls."""
-    x, carrier = _as_snapshot_mean(ms)
-    a_const, n_exp = _resolve_link(carrier, amp_const, path_loss_exp)
-    return solve_ls(x[np.newaxis], carrier.layout, theta, cfg, a_const, n_exp).row(0)
-
-
-def estimate_mle(ms, theta, a, cfg, amp_const=None, path_loss_exp=None):
-    """Correlated-noise weighted estimate from one snapshot or several
-    (averaged port-wise); see solve_mle."""
-    x, carrier = _as_snapshot_mean(ms)
-    a_const, n_exp = _resolve_link(carrier, amp_const, path_loss_exp)
-    return solve_mle(x[np.newaxis], carrier.layout, theta, a, cfg, a_const, n_exp).row(0)
-
-
-def estimate_single_antenna(streams, cfg, amp_const=None, path_loss_exp=None):
-    """Closed-form inversion of the averaged readings of a one-port stream;
-    see solve_single_antenna."""
-    if isinstance(streams, MeasurementSet):
-        streams = [streams]
-    streams = list(streams)
-    if not streams:
-        raise ValueError("empty measurement stream")
-    for ms in streams:
-        if ms.layout.n_ports != 1:
-            raise ValueError("single-antenna estimation requires one-port snapshots")
-    a_const, n_exp = _resolve_link(streams[0], amp_const, path_loss_exp)
-    readings = np.concatenate([ms.rssi_dbm for ms in streams])
-    return solve_single_antenna(readings[np.newaxis], a_const, n_exp).row(0)

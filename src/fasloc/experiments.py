@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import (CorrelationModel, FasLayout, average_mu_squared,
+from .channel import (CorrelationModel, FasLayout, _check_real, average_mu_squared,
                       build_covariance, standard_normal_rows)
 from .estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
 from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
@@ -136,7 +136,7 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"missing key(s) in config: {missing}")
         if "wavelength" in kwargs:  # hashed as given: 1 and 1.0 would differ
-            kwargs["wavelength"] = float(kwargs["wavelength"])
+            kwargs["wavelength"] = float(_check_real("wavelength", kwargs["wavelength"]))
         if "correlation_model" in kwargs:
             kwargs["correlation_model"] = CorrelationModel(kwargs["correlation_model"])
         spec = cls(**kwargs)
@@ -146,7 +146,10 @@ class ExperimentSpec:
     def validate(self):
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        vals = list(self.axis_values)
+        vals = [_check_real("axis_values", v) for v in self.axis_values]
+        for name in ("wavelength", "n_ports", "aperture", "snr_db", "spacing_h"):
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis_values must be non-empty and strictly increasing")
         if not _is_integer(self.trials) or self.trials < 100:
@@ -264,15 +267,12 @@ def _csv_cell(kind, value):
 def nmse_db(estimates, d_true):
     """Normalized MSE of distance estimates, in dB, with jackknife stderr.
 
-    Accepts an array of d_hat values, or a sequence of Estimate objects or
-    raw floats. A zero error sum is floored at NMSE_FLOOR_DB instead of -inf.
+    Accepts an array or a sequence of d_hat values. A zero error sum is
+    floored at NMSE_FLOOR_DB instead of -inf.
     """
     if d_true <= 0.0:
         raise ValueError("d_true must be positive")
-    if isinstance(estimates, np.ndarray):
-        d_hats = np.asarray(estimates, dtype=float)
-    else:
-        d_hats = np.array([getattr(e, "d_hat", e) for e in estimates], dtype=float)
+    d_hats = np.asarray(estimates, dtype=float)
     if d_hats.size == 0:
         raise ValueError("empty estimate list")
     errs = ((d_hats - d_true) / d_true) ** 2
@@ -442,6 +442,8 @@ def run_experiment(spec, workers=1):
     trial alone, so the table bytes do not depend on the worker count.
     """
     spec.validate()
+    if not _is_integer(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     trials = int(spec.trials)
     rows = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:

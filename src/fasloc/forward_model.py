@@ -17,12 +17,11 @@ correlated shadow-fading draw per snapshot on top of the noiseless profile.
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import FasLayout, sample_fading
+from .channel import _check_real, sample_fading
 
 # Declared convention for the SNR axis of all experiment sweeps; sigma2 is
 # the shadow-fading variance in dB^2, so sigma = 1 dB at SNR 0. Stamped into
@@ -52,6 +51,8 @@ class Scene:
     path_loss_exp: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_real(f.name, getattr(self, f.name))
         if not (self.distance > 0.0) or not np.isfinite(self.distance):
             raise ValueError(f"distance must be positive, got {self.distance}")
         if not np.isfinite(self.bearing):
@@ -66,30 +67,6 @@ class Scene:
         p_t_watts = 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)
         return float(np.sqrt(p_t_watts * wavelength ** 2 * self.gain_tx * self.gain_rx)
                      / (4.0 * np.pi))
-
-
-@dataclass
-class MeasurementSet:
-    """One snapshot of N RSSI readings plus the metadata to interpret it.
-
-    ``scene_truth`` is present for simulated data and absent when ingesting
-    externally captured vectors.
-    """
-
-    rssi_dbm: np.ndarray
-    layout: FasLayout
-    scene_truth: Optional[Scene] = None
-    noise_sigma2: float = float("nan")
-
-    def __post_init__(self):
-        self.rssi_dbm = np.asarray(self.rssi_dbm, dtype=float)
-        if self.rssi_dbm.ndim != 1 or self.rssi_dbm.shape[0] != self.layout.n_ports:
-            raise ValueError(
-                f"rssi vector length {self.rssi_dbm.shape} does not match "
-                f"layout with {self.layout.n_ports} ports"
-            )
-        if not np.isfinite(self.rssi_dbm).all():
-            raise ValueError("rssi readings must be finite")
 
 
 class RssiProfile:
@@ -175,7 +152,8 @@ def warn_near_field(layout, scene):
 
 
 def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
-    """Simulate ``n_snapshots`` RSSI vectors: noiseless profile + fading.
+    """Simulate ``n_snapshots`` RSSI vectors, noiseless profile plus fading,
+    as an (n_snapshots, N) array.
 
     Deterministic under the seed. Fading rows come from
     channel.sample_fading, so two calls with the same seed but different
@@ -189,53 +167,45 @@ def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
     warn_near_field(layout, scene)
     means = predicted_rssi(layout, scene.distance, scene.bearing,
                            scene.amp_const(layout.wavelength), scene.path_loss_exp)
-    fading = sample_fading(cov, rng_seed, n_snapshots)
-    return [
-        MeasurementSet(rssi_dbm=means + fading[t], layout=layout,
-                       scene_truth=scene, noise_sigma2=cov.sigma2)
-        for t in range(int(n_snapshots))
-    ]
+    return means + sample_fading(cov, rng_seed, n_snapshots)
 
 
-def write_measurements(path, measurements):
-    """Write snapshots in the line-oriented record format.
+def write_measurements(path, rows):
+    """Write a (snapshots, N) array of readings in the line-oriented record
+    format.
 
     One snapshot per line: snapshot index, then the N port readings in dBm,
     comma separated, 9 significant digits.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for t, ms in enumerate(measurements):
-            values = ",".join(f"{v:.9g}" for v in ms.rssi_dbm)
+        for t, row in enumerate(rows):
+            values = ",".join(f"{v:.9g}" for v in row)
             fh.write(f"{t},{values}\n")
 
 
-def read_measurements(path, layout, noise_sigma2=float("nan")):
-    """Parse a measurement file written by write_measurements.
+def read_measurements(path, n_ports):
+    """Parse a measurement file written by write_measurements into a
+    (snapshots, n_ports) array.
 
-    Each line must carry exactly layout.n_ports readings; scene truth is
-    absent on ingested data. Raises ValueError on any malformed line.
+    Each line must carry exactly n_ports readings. Raises ValueError on any
+    malformed line and on a file without snapshots.
     """
-    out = []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if len(parts) != layout.n_ports + 1:
+            if len(parts) != n_ports + 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected snapshot index plus "
-                    f"{layout.n_ports} readings, got {len(parts)} fields"
+                    f"{n_ports} readings, got {len(parts)} fields"
                 )
             try:
-                values = np.array([float(p) for p in parts[1:]])
+                rows.append([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unparseable reading: {exc}") from None
-            try:
-                out.append(MeasurementSet(rssi_dbm=values, layout=layout,
-                                          scene_truth=None, noise_sigma2=noise_sigma2))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not out:
+    if not rows:
         raise ValueError(f"{path}: no snapshots found")
-    return out
+    return np.array(rows)

@@ -23,13 +23,12 @@ from scipy.optimize import brentq
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance, sample_fading)
 from fasloc.cli import main as cli_main
-from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, estimate_ls,
-                               estimate_mle, estimate_single_antenna)
+from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, solve_ls, solve_mle,
+                               solve_single_antenna)
 from fasloc.experiments import (ExperimentSpec, default_scene, doubling_gain,
                                 fig2_spec, fig3_spec, find_extrema,
                                 run_experiment)
-from fasloc.forward_model import MeasurementSet, Scene, predicted_rssi, \
-    simulate_measurements
+from fasloc.forward_model import Scene, predicted_rssi, simulate_measurements
 from fasloc.specfun import bessel_j0
 
 mp.mp.dps = 40
@@ -206,12 +205,11 @@ def test_criterion_6d_mle_degeneration():
     for _ in range(100):
         lay, scene, cfg = _random_far_field_setup(rng)
         cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 0.04)
-        ms = simulate_measurements(lay, scene, cov,
-                                   (int(rng.integers(0, 2 ** 31)),), 1)[0]
-        mine = estimate_mle(ms, scene.bearing, 0.0, cfg)
-
+        X = simulate_measurements(lay, scene, cov,
+                                  (int(rng.integers(0, 2 ** 31)),), 1)
         offsets = lay.port_offsets_m()
         amp = scene.amp_const(lay.wavelength)
+        mine = solve_mle(X, lay, scene.bearing, 0.0, cfg, amp, scene.path_loss_exp)
         ct = math.cos(scene.bearing)
 
         def g(d):
@@ -219,7 +217,7 @@ def test_criterion_6d_mle_degeneration():
             model = 30.0 + 20.0 * math.log10(amp) - 10.0 * np.log10(di_sq)
             derivs = -(10.0 / LN10) * (2 * d - 2 * offsets * ct) \
                 / (d * d - 2 * offsets * d * ct)
-            return float(np.sum(derivs * (ms.rssi_dbm - model)))
+            return float(np.sum(derivs * (X[0] - model)))
 
         pole = 2.0 * float(np.max(offsets)) * ct
         lo_eff = max(cfg.search_bracket[0], pole * (1.0 + 1e-9) + 1e-12)
@@ -228,7 +226,7 @@ def test_criterion_6d_mle_degeneration():
         lo, hi = next((grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                       if gv[i] * gv[i + 1] < 0)
         ref = brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=cfg.max_iterations)
-        worst = max(worst, abs(mine.d_hat - ref))
+        worst = max(worst, abs(mine.d_hat[0] - ref))
     assert report("criterion 6d (a=0 degeneration, 100 scenes)",
                   worst <= 1e-9, f"max |d_hat - reference| = {worst:.2e}")
 
@@ -239,20 +237,14 @@ def test_criterion_6e_noiseless_recovery():
     for _ in range(100):
         lay, scene, cfg = _random_far_field_setup(rng)
         a = average_mu_squared(lay)
-        rssi = predicted_rssi(lay, scene.distance, scene.bearing,
-                              scene.amp_const(lay.wavelength),
-                              scene.path_loss_exp)
-        ms = MeasurementSet(rssi, lay, scene, 0.0)
+        link = (scene.amp_const(lay.wavelength), scene.path_loss_exp)
+        X = predicted_rssi(lay, scene.distance, scene.bearing, *link)[np.newaxis]
         lay1 = FasLayout(1, 0.0, lay.wavelength, "index")
-        ms1 = MeasurementSet(
-            predicted_rssi(lay1, scene.distance, scene.bearing,
-                           scene.amp_const(lay.wavelength),
-                           scene.path_loss_exp),
-            lay1, scene, 0.0)
+        x1 = predicted_rssi(lay1, scene.distance, scene.bearing, *link)
         errs = [
-            abs(estimate_mle(ms, scene.bearing, a, cfg).d_hat - scene.distance),
-            abs(estimate_ls(ms, scene.bearing, cfg).d_hat - scene.distance),
-            abs(estimate_single_antenna([ms1] * lay.n_ports, cfg).d_hat
+            abs(solve_mle(X, lay, scene.bearing, a, cfg, *link).d_hat[0] - scene.distance),
+            abs(solve_ls(X, lay, scene.bearing, cfg, *link).d_hat[0] - scene.distance),
+            abs(solve_single_antenna(np.tile(x1, (1, lay.n_ports)), *link).d_hat[0]
                 - scene.distance),
         ]
         worst = max(worst, max(errs))

@@ -122,7 +122,7 @@ def ref_point(spec, axis_index):
                                        ("mp", layout, cov_mp, "multipoint_ls" in ests),
                                        ("one", layout_one, cov_one, "single_antenna" in ests)):
             if wanted:
-                vec[name] = simulate_measurements(lay, scene, cov, seed, 1)[0].rssi_dbm
+                vec[name] = simulate_measurements(lay, scene, cov, seed, 1)[0]
                 parts.append(vec[name].tobytes())
         digests.append(hashlib.sha256(b"".join(parts)).hexdigest()[:16])
         for est in ests:

@@ -8,11 +8,10 @@ from scipy.optimize import brentq
 
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
-from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, estimate_ls,
-                               estimate_mle, estimate_single_antenna,
-                               kappa_constant)
-from fasloc.forward_model import (MeasurementSet, RssiProfile, Scene,
-                                  predicted_rssi, simulate_measurements)
+from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, kappa_constant,
+                               solve_ls, solve_mle, solve_single_antenna)
+from fasloc.forward_model import (RssiProfile, Scene, predicted_rssi,
+                                  simulate_measurements)
 
 LN10 = math.log(10.0)
 
@@ -21,11 +20,22 @@ def scene_at(d=10.0, theta=math.pi / 3.0, **kw):
     return Scene(distance=d, bearing=theta, **kw)
 
 
-def noiseless_ms(layout, scene):
+def noiseless_rows(layout, scene):
+    """The noiseless readings of the scene as a batch of one row."""
     rssi = predicted_rssi(layout, scene.distance, scene.bearing,
                           scene.amp_const(layout.wavelength), scene.path_loss_exp)
-    return MeasurementSet(rssi_dbm=rssi, layout=layout, scene_truth=scene,
-                          noise_sigma2=0.0)
+    return rssi[np.newaxis]
+
+
+def mle(X, layout, scene, a, cfg):
+    return solve_mle(X, layout, scene.bearing, a, cfg,
+                     scene.amp_const(layout.wavelength), scene.path_loss_exp)
+
+
+def ls(X, layout, scene, cfg, amp_const=None):
+    if amp_const is None:
+        amp_const = scene.amp_const(layout.wavelength)
+    return solve_ls(X, layout, scene.bearing, cfg, amp_const, scene.path_loss_exp)
 
 
 def weight_derivs(layout, d, theta):
@@ -154,17 +164,17 @@ def test_mle_recovers_noiseless_distance():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
     a = average_mu_squared(lay)
-    est = estimate_mle(noiseless_ms(lay, scene), scene.bearing, a, cfg_for(scene))
-    assert est.converged
-    assert est.d_hat == pytest.approx(10.0, abs=1e-5)
+    est = mle(noiseless_rows(lay, scene), lay, scene, a, cfg_for(scene))
+    assert est.converged[0]
+    assert est.d_hat[0] == pytest.approx(10.0, abs=1e-5)
 
 
 def test_mle_rejects_bad_correlation():
     lay = FasLayout(4, 0.5, 0.125)
     scene = scene_at()
-    ms = noiseless_ms(lay, scene)
+    X = noiseless_rows(lay, scene)
     with pytest.raises(ValueError):
-        estimate_mle(ms, scene.bearing, 1.0, cfg_for(scene))
+        mle(X, lay, scene, 1.0, cfg_for(scene))
 
 
 def test_mle_degenerates_to_uncorrelated_solver():
@@ -195,10 +205,10 @@ def test_mle_degenerates_to_uncorrelated_solver():
         return brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=cfg.max_iterations)
 
     for t in range(10):
-        ms = simulate_measurements(lay, scene, cov, (9, 0, t), 1)[0]
-        mine = estimate_mle(ms, scene.bearing, 0.0, cfg)
-        assert mine.converged
-        assert abs(mine.d_hat - reference_root(ms.rssi_dbm)) <= 1e-9
+        X = simulate_measurements(lay, scene, cov, (9, 0, t), 1)
+        mine = mle(X, lay, scene, 0.0, cfg)
+        assert mine.converged[0]
+        assert abs(mine.d_hat[0] - reference_root(X[0])) <= 1e-9
 
 
 def test_mle_root_is_locally_stationary():
@@ -207,39 +217,39 @@ def test_mle_root_is_locally_stationary():
     a = average_mu_squared(lay)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
     cfg = cfg_for(scene)
-    ms = simulate_measurements(lay, scene, cov, (5, 5), 1)[0]
-    est = estimate_mle(ms, scene.bearing, a, cfg)
+    X = simulate_measurements(lay, scene, cov, (5, 5), 1)
+    d_hat = mle(X, lay, scene, a, cfg).d_hat[0]
     amp = scene.amp_const(lay.wavelength)
 
     def g(d):
         b, _ = weights(lay, a, d, scene.bearing)
         model = predicted_rssi(lay, d, scene.bearing, amp)
-        return float(b @ (ms.rssi_dbm - model))
+        return float(b @ (X[0] - model))
 
-    assert abs(g(est.d_hat)) <= abs(g(est.d_hat - 10 * cfg.tolerance))
-    assert abs(g(est.d_hat)) <= abs(g(est.d_hat + 10 * cfg.tolerance))
+    assert abs(g(d_hat)) <= abs(g(d_hat - 10 * cfg.tolerance))
+    assert abs(g(d_hat)) <= abs(g(d_hat + 10 * cfg.tolerance))
 
 
 def test_weighted_sum_identity_on_noiseless_data():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
     a = average_mu_squared(lay)
-    ms = noiseless_ms(lay, scene)
+    x = noiseless_rows(lay, scene)[0]
     b, _ = weights(lay, a, scene.distance, scene.bearing)
     model = predicted_rssi(lay, scene.distance, scene.bearing,
                            scene.amp_const(lay.wavelength))
-    assert b @ ms.rssi_dbm == pytest.approx(b @ model, abs=1e-9)
+    assert b @ x == pytest.approx(b @ model, abs=1e-9)
 
 
 def test_mle_without_root_reports_non_convergence():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
     a = average_mu_squared(lay)
-    ms = noiseless_ms(lay, scene)
+    X = noiseless_rows(lay, scene)
     cfg = EstimatorConfig(search_bracket=(50.0, 200.0))  # excludes the truth
-    est = estimate_mle(ms, scene.bearing, a, cfg)
-    assert not est.converged
-    assert 50.0 <= est.d_hat <= 200.0
+    est = mle(X, lay, scene, a, cfg)
+    assert not est.converged[0]
+    assert 50.0 <= est.d_hat[0] <= 200.0
 
 
 def test_mle_frozen_weights_mode():
@@ -247,27 +257,14 @@ def test_mle_frozen_weights_mode():
     scene = scene_at()
     a = average_mu_squared(lay)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
-    ms = simulate_measurements(lay, scene, cov, (8, 1), 1)[0]
+    X = simulate_measurements(lay, scene, cov, (8, 1), 1)
     sc_cfg = cfg_for(scene)
     fz_cfg = cfg_for(scene, frozen_weights=True)
-    e_sc = estimate_mle(ms, scene.bearing, a, sc_cfg)
-    e_fz = estimate_mle(ms, scene.bearing, a, fz_cfg)
-    assert e_sc.converged and e_fz.converged
+    e_sc = mle(X, lay, scene, a, sc_cfg)
+    e_fz = mle(X, lay, scene, a, fz_cfg)
+    assert e_sc.converged[0] and e_fz.converged[0]
     # the two weight policies agree on clean data to well below the noise scale
-    assert abs(e_sc.d_hat - e_fz.d_hat) < 0.05 * scene.distance
-
-
-def test_mle_accepts_multiple_snapshots():
-    lay = FasLayout(12, 0.5, 0.125, spacing="index")
-    scene = scene_at()
-    a = average_mu_squared(lay)
-    cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
-    snaps = simulate_measurements(lay, scene, cov, (12, 3), 4)
-    merged = MeasurementSet(np.mean([s.rssi_dbm for s in snaps], axis=0),
-                            lay, scene, cov.sigma2)
-    cfg = cfg_for(scene)
-    assert estimate_mle(snaps, scene.bearing, a, cfg).d_hat == pytest.approx(
-        estimate_mle(merged, scene.bearing, a, cfg).d_hat, abs=1e-9)
+    assert abs(e_sc.d_hat[0] - e_fz.d_hat[0]) < 0.05 * scene.distance
 
 
 # ---------------------------------------------------------------- least squares
@@ -275,20 +272,20 @@ def test_mle_accepts_multiple_snapshots():
 def test_ls_recovers_noiseless_distance():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
-    est = estimate_ls(noiseless_ms(lay, scene), scene.bearing, cfg_for(scene))
-    assert est.converged
-    assert est.d_hat == pytest.approx(10.0, abs=1e-5)
+    est = ls(noiseless_rows(lay, scene), lay, scene, cfg_for(scene))
+    assert est.converged[0]
+    assert est.d_hat[0] == pytest.approx(10.0, abs=1e-5)
 
 
 def test_single_port_ls_matches_closed_form():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
     scene = scene_at()
     cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 0.1)
-    ms = simulate_measurements(lay, scene, cov, (2, 2), 1)[0]
+    X = simulate_measurements(lay, scene, cov, (2, 2), 1)
     cfg = cfg_for(scene)
     amp = scene.amp_const(lay.wavelength)
-    closed = amp * 10.0 ** ((30.0 - ms.rssi_dbm[0]) / 20.0)
-    assert estimate_ls(ms, scene.bearing, cfg).d_hat == pytest.approx(
+    closed = amp * 10.0 ** ((30.0 - X[0, 0]) / 20.0)
+    assert ls(X, lay, scene, cfg).d_hat[0] == pytest.approx(
         closed, abs=10 * cfg.tolerance)
 
 
@@ -298,62 +295,70 @@ def test_ls_shift_matches_amplitude_rescale():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
-    ms = simulate_measurements(lay, scene, cov, (3, 9), 1)[0]
+    X = simulate_measurements(lay, scene, cov, (3, 9), 1)
     cfg = cfg_for(scene)
     c = 6.0
-    shifted = MeasurementSet(ms.rssi_dbm + c, lay, scene, cov.sigma2)
     amp = scene.amp_const(lay.wavelength)
-    e_shift = estimate_ls(shifted, scene.bearing, cfg, amp_const=amp)
-    e_scale = estimate_ls(ms, scene.bearing, cfg,
-                          amp_const=amp * 10.0 ** (-c / 20.0))
-    assert e_shift.d_hat == pytest.approx(e_scale.d_hat, abs=10 * cfg.tolerance)
+    e_shift = ls(X + c, lay, scene, cfg, amp_const=amp)
+    e_scale = ls(X, lay, scene, cfg, amp_const=amp * 10.0 ** (-c / 20.0))
+    assert e_shift.d_hat[0] == pytest.approx(e_scale.d_hat[0], abs=10 * cfg.tolerance)
 
 
 def test_ls_flags_bracket_that_excludes_minimum():
     lay = FasLayout(12, 0.5, 0.125, spacing="index")
     scene = scene_at()
-    ms = noiseless_ms(lay, scene)
-    est = estimate_ls(ms, scene.bearing, EstimatorConfig(search_bracket=(50.0, 200.0)))
-    assert not est.converged
+    X = noiseless_rows(lay, scene)
+    est = ls(X, lay, scene, EstimatorConfig(search_bracket=(50.0, 200.0)))
+    assert not est.converged[0]
 
 
 def test_estimators_need_link_constants_for_external_data():
     lay = FasLayout(3, 0.5, 0.125)
-    ms = MeasurementSet(np.array([-60.0, -60.1, -59.9]), lay)
-    with pytest.raises(ValueError):
-        estimate_ls(ms, 1.0, EstimatorConfig())
-    est = estimate_ls(ms, 1.0, EstimatorConfig(search_bracket=(0.1, 1000.0)),
-                      amp_const=3.14557575653044e-4, path_loss_exp=2.0)
-    assert est.d_hat > 0.0
+    X = np.array([[-60.0, -60.1, -59.9]])
+    cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
+    for amp, n_exp in ((0.0, 2.0), (-3e-4, 2.0), (math.inf, 2.0), (3e-4, 0.0),
+                       (3e-4, math.nan)):
+        with pytest.raises(ValueError):
+            solve_ls(X, lay, 1.0, cfg, amp, n_exp)
+        with pytest.raises(ValueError):
+            solve_mle(X, lay, 1.0, 0.0, cfg, amp, n_exp)
+        with pytest.raises(ValueError):
+            solve_single_antenna(X, amp, n_exp)
+    est = solve_ls(X, lay, 1.0, cfg, 3.14557575653044e-4, 2.0)
+    assert est.d_hat[0] > 0.0
+
+
+def test_solvers_reject_a_width_other_than_the_layout():
+    lay = FasLayout(3, 0.5, 0.125)
+    X = np.full((2, 4), -60.0)
+    cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
+    with pytest.raises(ValueError, match="4 ports, layout has 3"):
+        solve_ls(X, lay, 1.0, cfg, 3e-4, 2.0)
+    with pytest.raises(ValueError, match="4 ports, layout has 3"):
+        solve_mle(X, lay, 1.0, 0.0, cfg, 3e-4, 2.0)
 
 
 # ---------------------------------------------------------------- single antenna
 
 def test_single_antenna_inversion_anchor():
-    lay = FasLayout(1, 0.0, 0.125, spacing="index")
     amp = 3.14557575653044e-4
-    ms = MeasurementSet(np.array([30.0]), lay)
-    est = estimate_single_antenna([ms] * 12, EstimatorConfig(), amp_const=amp,
-                                  path_loss_exp=2.0)
-    assert est.d_hat == pytest.approx(amp, rel=1e-12)
-    assert est.converged
+    est = solve_single_antenna(np.full((1, 12), 30.0), amp, 2.0)
+    assert est.d_hat[0] == pytest.approx(amp, rel=1e-12)
+    assert est.converged[0]
 
 
 def test_single_antenna_noiseless_recovery():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
     scene = scene_at()
-    ms = noiseless_ms(lay, scene)
-    est = estimate_single_antenna([ms] * 12, EstimatorConfig())
-    assert est.d_hat == pytest.approx(10.0, abs=1e-9)
+    X = np.repeat(noiseless_rows(lay, scene), 12, axis=1)
+    est = solve_single_antenna(X, scene.amp_const(lay.wavelength), scene.path_loss_exp)
+    assert est.d_hat[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_single_antenna_input_validation():
-    with pytest.raises(ValueError):
-        estimate_single_antenna([], EstimatorConfig())
-    lay = FasLayout(2, 0.5, 0.125)
-    ms = MeasurementSet(np.array([-60.0, -60.0]), lay, scene_at())
-    with pytest.raises(ValueError):
-        estimate_single_antenna([ms], EstimatorConfig())
+    for shape in ((0, 12), (1, 0), (12,)):
+        with pytest.raises(ValueError):
+            solve_single_antenna(np.zeros(shape), 3e-4, 2.0)
 
 
 # ---------------------------------------------------------------- consistency
@@ -368,7 +373,7 @@ def test_error_shrinks_with_noise_power():
         cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, sigma2)
         errs = []
         for t in range(400):
-            ms = simulate_measurements(lay, scene, cov, (77, t), 1)[0]
-            errs.append((estimate_mle(ms, scene.bearing, a, cfg).d_hat - 10.0) ** 2)
+            X = simulate_measurements(lay, scene, cov, (77, t), 1)
+            errs.append((mle(X, lay, scene, a, cfg).d_hat[0] - 10.0) ** 2)
         mse.append(np.mean(errs))
     assert mse[0] > mse[1] > mse[2]

@@ -10,7 +10,6 @@ import pytest
 
 import fasloc.experiments as experiments
 from fasloc.channel import CorrelationModel
-from fasloc.estimators import Estimate
 from fasloc.experiments import (FIG2_SNR_VALUES, METHODS, ExperimentSpec,
                                 ResultRow, ResultTable, default_scene,
                                 doubling_gain, fig2_spec, fig3_spec,
@@ -41,7 +40,7 @@ def small_spec(**overrides):
 # ---------------------------------------------------------------- nmse
 
 def test_nmse_floor_on_perfect_estimates():
-    ests = [Estimate(10.0, True, 1, 0.0)] * 50
+    ests = [10.0] * 50
     value, se = nmse_db(ests, 10.0)
     assert value == -200.0
     assert se == 0.0

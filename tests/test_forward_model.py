@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.forward_model import (MeasurementSet, RssiProfile, Scene,
+from fasloc.forward_model import (RssiProfile, Scene,
                                   predicted_rssi, read_measurements,
                                   simulate_measurements, snr_to_sigma2,
                                   write_measurements)
@@ -165,9 +165,9 @@ def test_noiseless_limit():
     lay = FasLayout(12, 0.5, 0.125)
     scene = default_scene()
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1e-12)
-    ms = simulate_measurements(lay, scene, cov, 7, 1)[0]
+    x = simulate_measurements(lay, scene, cov, 7, 1)[0]
     means = mean_profile(lay, scene)
-    assert np.max(np.abs(ms.rssi_dbm - means)) <= 1e-4
+    assert np.max(np.abs(x - means)) <= 1e-4
 
 
 def test_dimension_mismatch_rejected():
@@ -181,7 +181,7 @@ def test_single_port_baseline_stream():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
     cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 0.5)
     snaps = simulate_measurements(lay, default_scene(), cov, 7, 24)
-    assert len(snaps) == 24 and all(s.rssi_dbm.shape == (1,) for s in snaps)
+    assert snaps.shape == (24, 1)
 
 
 def test_simulation_deterministic_under_seed():
@@ -189,7 +189,7 @@ def test_simulation_deterministic_under_seed():
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
     a = simulate_measurements(lay, default_scene(), cov, (1, 2), 1)[0]
     b = simulate_measurements(lay, default_scene(), cov, (1, 2), 1)[0]
-    np.testing.assert_array_equal(a.rssi_dbm, b.rssi_dbm)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_iid_residual_variance():
@@ -198,8 +198,7 @@ def test_iid_residual_variance():
     sigma2 = 0.25
     cov = build_covariance(lay, CorrelationModel.INDEPENDENT, sigma2)
     snaps = simulate_measurements(lay, scene, cov, 11, 100_000)
-    resid = np.stack([s.rssi_dbm for s in snaps]) \
-        - mean_profile(lay, scene)
+    resid = snaps - mean_profile(lay, scene)
     var = resid.var(axis=0)
     assert np.all(np.abs(var - sigma2) <= 0.05 * sigma2)
 
@@ -211,8 +210,7 @@ def test_correlated_residual_correlation():
     a = average_mu_squared(lay)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1.0)
     snaps = simulate_measurements(lay, scene, cov, 13, 100_000)
-    resid = np.stack([s.rssi_dbm for s in snaps]) \
-        - mean_profile(lay, scene)
+    resid = snaps - mean_profile(lay, scene)
     corr = np.corrcoef(resid.T)
     off = corr[~np.eye(12, dtype=bool)]
     assert np.all(np.abs(off - a) <= 0.02)
@@ -225,12 +223,6 @@ def test_near_field_warns():
         simulate_measurements(lay, default_scene(), cov, 7, 1)
 
 
-def test_measurement_set_length_checked():
-    lay = FasLayout(3, 0.5, 0.125)
-    with pytest.raises(ValueError):
-        MeasurementSet(rssi_dbm=np.zeros(4), layout=lay)
-
-
 # ---------------------------------------------------------------- records
 
 def test_record_round_trip(tmp_path):
@@ -241,11 +233,9 @@ def test_record_round_trip(tmp_path):
     write_measurements(path, snaps)
     lines = path.read_text().splitlines()
     assert len(lines) == 5 and lines[0].startswith("0,")
-    back = read_measurements(path, lay)
+    back = read_measurements(path, lay.n_ports)
     assert len(back) == 5
-    for orig, rt in zip(snaps, back):
-        np.testing.assert_allclose(rt.rssi_dbm, orig.rssi_dbm, rtol=1e-8)
-        assert rt.scene_truth is None
+    np.testing.assert_allclose(back, snaps, rtol=1e-8)
 
 
 def test_record_wrong_port_count(tmp_path):
@@ -254,14 +244,14 @@ def test_record_wrong_port_count(tmp_path):
     write_measurements(tmp_path / "caps.txt", simulate_measurements(
         lay, default_scene(), cov, 3, 2))
     with pytest.raises(ValueError):
-        read_measurements(tmp_path / "caps.txt", FasLayout(6, 0.5, 0.125))
+        read_measurements(tmp_path / "caps.txt", 6)
 
 
 def test_record_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0,1.0,two,3.0\n")
     with pytest.raises(ValueError):
-        read_measurements(path, FasLayout(3, 0.5, 0.125))
+        read_measurements(path, 3)
     (tmp_path / "empty.txt").write_text("")
     with pytest.raises(ValueError):
-        read_measurements(tmp_path / "empty.txt", FasLayout(3, 0.5, 0.125))
+        read_measurements(tmp_path / "empty.txt", 3)
