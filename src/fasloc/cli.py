@@ -12,6 +12,7 @@ error, 3 numerical non-convergence, 4 model-validity error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,7 +39,14 @@ def _info(msg):
     print(msg, file=sys.stderr)
 
 
+@functools.cache
 def _build_parser():
+    """The ``fasloc`` parser, built on first use and shared by every call.
+
+    Building it costs about as much as the solve of an ``estimate`` call;
+    ``parse_args`` leaves it unchanged and every default is immutable, so
+    one parser serves all calls in a process.
+    """
     parser = argparse.ArgumentParser(prog="fasloc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fasloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,8 +55,10 @@ def _build_parser():
     rep.add_argument("preset", nargs="?", choices=("fig2", "fig3"),
                      help="built-in preset (omit when using --config)")
     rep.add_argument("--config", type=Path, help="JSON sweep description instead of a preset")
-    rep.add_argument("--seed", type=int, default=42)
-    rep.add_argument("--trials", type=int, default=10000)
+    rep.add_argument("--seed", type=int, default=None,
+                     help="preset base seed (default 42)")
+    rep.add_argument("--trials", type=int, default=None,
+                     help="preset trials per axis point (default 10000)")
     rep.add_argument("--out", type=Path, default=None, help="output CSV path")
     rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--spacing-h", type=float, default=None,
@@ -106,6 +116,13 @@ def _cmd_reproduce(args):
         if args.preset is not None:
             _info("error: give either a preset or --config, not both")
             return EXIT_INPUT
+        ignored = [flag for flag, value in (("--seed", args.seed), ("--trials", args.trials),
+                                            ("--spacing-h", args.spacing_h))
+                   if value is not None]
+        if ignored:
+            _info(f"error: {', '.join(ignored)} cannot be combined with --config; "
+                  f"set base_seed, trials and spacing_h in the config file")
+            return EXIT_INPUT
         spec, output = _read_config(args.config)
         out = args.out or Path(output or "sweep.csv")
         table = run_experiment(spec, workers=args.workers)
@@ -116,8 +133,15 @@ def _cmd_reproduce(args):
         _info("error: a preset name or --config is required")
         return EXIT_INPUT
 
+    # the presets' own defaults apply to the flags not given
+    preset_kw = {key: value for key, value in (("base_seed", args.seed),
+                                               ("trials", args.trials))
+                 if value is not None}
     if args.preset == "fig2":
-        spec = fig2_spec(base_seed=args.seed, trials=args.trials)
+        if args.spacing_h is not None:
+            _info("error: --spacing-h applies to fig3 only")
+            return EXIT_INPUT
+        spec = fig2_spec(**preset_kw)
         out = args.out or Path("fig2.csv")
         table = run_experiment(spec, workers=args.workers)
         _write_table(table, out, args.json)
@@ -130,7 +154,7 @@ def _cmd_reproduce(args):
     pitches = (args.spacing_h,) if args.spacing_h is not None else (0.05, 0.01)
     out = args.out or Path("fig3.csv")
     for h in pitches:
-        spec = fig3_spec(spacing_h=h, base_seed=args.seed, trials=args.trials)
+        spec = fig3_spec(spacing_h=h, **preset_kw)
         table = run_experiment(spec, workers=args.workers)
         if len(pitches) == 1:
             path = out

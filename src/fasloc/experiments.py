@@ -115,7 +115,8 @@ class ExperimentSpec:
         (``n_ports``, ``aperture``, ``wavelength``, ``spacing``) nested under
         ``layout`` and the Scene fields under ``scene``. ``base_seed``
         defaults to 42, and the scene to ``default_scene()``, field by field.
-        Unknown keys are rejected at every level.
+        ``axis_values`` and ``estimators`` must be JSON arrays. Unknown keys
+        are rejected at every level.
         """
         layout_keys = {f.name for f in fields(FasLayout)}
         layout_cfg, scene_cfg = cfg.get("layout", {}), cfg.get("scene", {})
@@ -135,6 +136,9 @@ class ExperimentSpec:
                    and f.default is MISSING]
         if missing:
             raise ValueError(f"missing key(s) in config: {missing}")
+        for key in ("axis_values", "estimators"):
+            if not isinstance(kwargs[key], list):
+                raise ValueError(f"config {key} must be a JSON array, got {kwargs[key]!r}")
         if "wavelength" in kwargs:  # hashed as given: 1 and 1.0 would differ
             kwargs["wavelength"] = float(_check_real("wavelength", kwargs["wavelength"]))
         if "correlation_model" in kwargs:

@@ -1,13 +1,19 @@
 """Command-line interface: presets, single-shot estimation, inspection."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fasloc import cli
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
 from fasloc.cli import _read_config, main
@@ -17,7 +23,8 @@ from fasloc.forward_model import (Scene, predicted_rssi, read_measurements,
                                   simulate_measurements, write_measurements)
 
 A_DEFAULT = 3.14557575653044e-4
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 # spec_sha256 of the README's example config, computed before the config
 # schema was derived from the dataclass fields
 README_CONFIG_SHA256 = "4710cc25e6b1b3a60cc7c4835a66c7afdf6a2229a87e03afb1925e81f5b8368f"
@@ -194,6 +201,54 @@ def test_reproduce_config_rejects_a_value_of_the_wrong_type_with_exit_2(tmp_path
     assert run_cli("reproduce", "--config", str(cfg_path)) == 2
     assert "must be a number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("axis_values", 5), ("axis_values", None), ("axis_values", {"a": 1}),
+    ("axis_values", "0,10"), ("estimators", 5), ("estimators", "fas_ls"),
+    ("estimators", None),
+])
+def test_reproduce_config_rejects_a_key_that_is_not_an_array_with_exit_2(tmp_path, capsys,
+                                                                        key, value):
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({**SNR_SWEEP, key: value, "output": str(out)}))
+    assert run_cli("reproduce", "--config", str(cfg_path)) == 2
+    assert f"config {key} must be a JSON array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, flags, named", [
+    (None, ["--seed", "7"], ["--seed"]),
+    (None, ["--seed", "42"], ["--seed"]),
+    (None, ["--trials", "500"], ["--trials"]),
+    (None, ["--spacing-h", "0.3"], ["--spacing-h"]),
+    (None, ["--seed", "7", "--trials", "500", "--spacing-h", "0.3"],
+     ["--seed", "--trials", "--spacing-h"]),
+    ("fig2", ["--spacing-h", "0.3"], ["--spacing-h"]),
+], ids=["config-seed", "config-seed-42", "config-trials", "config-spacing-h",
+        "config-all-three", "fig2-spacing-h"])
+def test_reproduce_rejects_a_flag_it_would_ignore_with_exit_2(tmp_path, capsys, preset,
+                                                              flags, named):
+    out = tmp_path / "sweep.csv"
+    if preset is None:
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(SNR_SWEEP))
+        source = ["--config", str(cfg_path)]
+    else:
+        source = [preset, "--trials", "100"]
+    assert run_cli("reproduce", *source, *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named)
+    assert not out.exists()
+
+
+def test_reproduce_presets_default_to_seed_42(tmp_path):
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    assert run_cli("reproduce", "fig2", "--trials", "100", "--seed", "42",
+                   "--out", str(given)) == 0
+    assert run_cli("reproduce", "fig2", "--trials", "100", "--out", str(default)) == 0
+    assert given.read_bytes() == default.read_bytes()
 
 
 def test_reproduce_config_rejects_an_output_that_is_not_a_string(tmp_path, capsys):
@@ -401,3 +456,83 @@ def test_inspect_stdout_is_pure_json(capsys):
     out = capsys.readouterr().out
     json.loads(out)  # parses as a single object
     assert out.count("\n") == 1
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def call_cli(argv):
+    """Exit code and stdout of one ``main`` call; an argparse error counts
+    as the exit code it raises."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path):
+    cap12, cap1 = tmp_path / "cap12.txt", tmp_path / "cap1.txt"
+    cap12.write_text(CAPTURE_12)
+    cap1.write_text(CAPTURE_1)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(SNR_SWEEP))
+    sweep_csv = tmp_path / "sweep.csv"
+
+    def estimate(path, n_ports, *flags):
+        return ["estimate", "--input", str(path), "--theta", repr(math.pi / 3.0),
+                "--n-ports", n_ports, "--aperture", "0.5", "--spacing", "index",
+                "--amp-const", repr(A_DEFAULT), *flags]
+
+    calls = [
+        estimate(cap12, "12", "--method", "mle"),
+        estimate(cap12, "12", "--method", "ls", "--bracket", "1", "100"),
+        estimate(cap1, "1", "--method", "single"),
+        estimate(cap12, "6"),                     # wrong port count: input error
+        ["estimate", "--input", str(cap12)],      # missing required flags: argparse error
+        ["inspect", "--n-ports", "12", "--aperture", "0.5", "--model", "jakes"],
+        ["reproduce", "--config", str(cfg_path), "--out", str(sweep_csv)],
+        estimate(cap12, "12", "--method", "mle"),
+    ]
+
+    def run(argv):
+        rc, out = call_cli(argv)
+        table = sweep_csv.read_bytes() if argv[0] == "reproduce" else None
+        return rc, out, table
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 2, 0, 0, 0]
+    assert shared[0] == shared[-1]
+    assert shared[0][1] == ESTIMATE_LINES["mle"] + "\n"
+
+
+def run_module(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60)
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = run_module("-c", "import fasloc.cli as c; print(c._build_parser.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_python_dash_m_fasloc_is_the_cli(capsys):
+    proc = run_module("-m", "fasloc", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fasloc ")
+    argv = ["inspect", "--n-ports", "12", "--aperture", "0.5"]
+    proc = run_module("-m", "fasloc", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
