@@ -30,7 +30,7 @@ Three correlation models produce an N x N unit-diagonal matrix:
 
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -43,7 +43,14 @@ from .specfun import bessel_j0
 PSD_SHIFT_LIMIT = 1e-6
 _PSD_PAD = 1e-12
 
-SPACING_CONVENTIONS = ("endpoint", "index")
+# The port-spacing conventions, each with the note a result table records.
+SPACING_NOTE = {
+    "endpoint": ("spacing=endpoint: N ports across W*lambda; correlation step "
+                 "W/(N-1), port offsets i*W*lambda/N"),
+    "index": ("spacing=index: adjacent ports W*lambda apart; correlation step W, "
+              "port offsets i*W*lambda"),
+}
+SPACING_CONVENTIONS = tuple(SPACING_NOTE)
 
 # Hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx),
 # which philox_keys reproduces over arrays of seeds.
@@ -135,13 +142,15 @@ class CovarianceMatrix:
     """
 
     entries: np.ndarray
-    regularized: bool = False
     shift: float = 0.0
-    _factor: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.entries.shape[0]
+
+    @property
+    def regularized(self):  # whether the model matrix needed a PSD repair
+        return self.shift > 0.0
 
     def factor(self):
         """Lower-triangular-like factor L with L @ L.T == entries.
@@ -149,14 +158,11 @@ class CovarianceMatrix:
         Cholesky when positive definite, symmetric eigenfactor otherwise
         (covers PSD-singular cases such as a fully correlated matrix).
         """
-        if self._factor is None:
-            try:
-                self._factor = np.linalg.cholesky(self.entries)
-            except np.linalg.LinAlgError:
-                w, v = np.linalg.eigh(self.entries)
-                w = np.clip(w, 0.0, None)
-                self._factor = v * np.sqrt(w)[np.newaxis, :]
-        return self._factor
+        try:
+            return np.linalg.cholesky(self.entries)
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(self.entries)
+            return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def lag_correlations(layout):
@@ -215,7 +221,6 @@ def build_covariance(layout, model, sigma2):
     else:
         raise ValueError(f"unknown correlation model: {model!r}")
 
-    regularized = False
     shift = 0.0
     eig_min = float(np.linalg.eigvalsh(r)[0])
     if eig_min < 0.0:
@@ -226,9 +231,8 @@ def build_covariance(layout, model, sigma2):
                 f"(> {PSD_SHIFT_LIMIT:.0e}) to be PSD; model used outside its validity range"
             )
         r = r + shift * np.eye(n)
-        regularized = True
 
-    return CovarianceMatrix(entries=sigma2 * r, regularized=regularized, shift=shift)
+    return CovarianceMatrix(entries=sigma2 * r, shift=shift)
 
 
 def _seed_words(values):

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (CorrelationModel, FasLayout, ModelValidityError,
+from .channel import (SPACING_CONVENTIONS, CorrelationModel, FasLayout, ModelValidityError,
                       average_mu_squared, build_covariance, lag_correlations)
-from .estimators import (EstimatorConfig, kappa_constant, solve_ls, solve_mle,
+from .estimators import (EstimatorConfig, _check_rows, kappa_constant, solve_ls, solve_mle,
                          solve_single_antenna)
 from .experiments import ExperimentSpec, fig2_spec, fig3_spec, run_experiment
 from .forward_model import read_measurements
@@ -50,6 +50,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="fasloc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fasloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    layout = argparse.ArgumentParser(add_help=False)  # the FasLayout fields
+    layout.add_argument("--n-ports", type=int, required=True)
+    layout.add_argument("--aperture", type=float, required=True)
+    layout.add_argument("--wavelength", type=float, default=FasLayout.wavelength)
+    layout.add_argument("--spacing", choices=SPACING_CONVENTIONS, default=FasLayout.spacing)
 
     rep = sub.add_parser("reproduce", help="run a benchmark preset or config-file sweep")
     rep.add_argument("preset", nargs="?", choices=("fig2", "fig3"),
@@ -65,28 +70,22 @@ def _build_parser():
                      help="fig3 only: run a single per-port pitch instead of both presets")
     rep.add_argument("--json", action="store_true", help="also write a .json twin of each table")
 
-    est = sub.add_parser("estimate", help="estimate distance from a measurement file")
+    est = sub.add_parser("estimate", parents=[layout],
+                         help="estimate distance from a measurement file")
     est.add_argument("--input", type=Path, required=True)
     est.add_argument("--theta", type=float, required=True, help="known bearing, radians")
-    est.add_argument("--n-ports", type=int, required=True)
-    est.add_argument("--aperture", type=float, required=True)
-    est.add_argument("--wavelength", type=float, default=0.125)
     est.add_argument("--amp-const", type=float, required=True,
                      help="link amplitude constant A of the log-distance model")
     est.add_argument("--method", choices=("mle", "ls", "single"), default="mle")
-    est.add_argument("--spacing", choices=("endpoint", "index"), default="endpoint")
     est.add_argument("--path-loss-exp", type=float, default=2.0)
     est.add_argument("--bracket", type=float, nargs=2, default=(0.01, 10000.0),
                      metavar=("DMIN", "DMAX"))
     est.add_argument("--tolerance", type=float, default=1e-6)
 
-    ins = sub.add_parser("inspect", help="print layout correlation diagnostics as JSON")
-    ins.add_argument("--n-ports", type=int, required=True)
-    ins.add_argument("--aperture", type=float, required=True)
-    ins.add_argument("--wavelength", type=float, default=0.125)
+    ins = sub.add_parser("inspect", parents=[layout],
+                         help="print layout correlation diagnostics as JSON")
     ins.add_argument("--model", choices=[m.value for m in CorrelationModel],
                      default=CorrelationModel.AVERAGE_MU.value)
-    ins.add_argument("--spacing", choices=("endpoint", "index"), default="endpoint")
     return parser
 
 
@@ -172,7 +171,7 @@ def _cmd_estimate(args):
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     layout = FasLayout(args.n_ports, args.aperture, args.wavelength, args.spacing)
-    rows = read_measurements(args.input, layout.n_ports)
+    rows = _check_rows(read_measurements(args.input, layout.n_ports))  # before averaging
     cfg = EstimatorConfig(search_bracket=tuple(args.bracket), tolerance=args.tolerance)
     link = (args.amp_const, args.path_loss_exp)
     # snapshots are averaged port-wise; a one-port stream is one row of readings

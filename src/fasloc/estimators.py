@@ -51,13 +51,17 @@ _RTOL = 4.0 * np.finfo(float).eps
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Elements of one (rows, grid, ports) block of the scan; bounds its memory.
 _SCAN_BLOCK = 1 << 18
+# Iteration cap of the Brent and golden-section refinements.
+MAX_ITERATIONS = 200
+# Largest reading magnitude accepted, in dBm. Squared residuals stay near
+# 1e200, so no scan sum over any realistic port count can overflow.
+READING_LIMIT_DBM = 1e100
 
 
 @dataclass
 class EstimatorConfig:
     search_bracket: tuple = (0.5, 200.0)
     tolerance: float = 1e-6
-    max_iterations: int = 200
     frozen_weights: bool = False
 
     def __post_init__(self):
@@ -67,8 +71,6 @@ class EstimatorConfig:
                              f"got {self.search_bracket}")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -258,15 +260,16 @@ def _cells(j, size):
 
 
 def _check_rows(X, n_ports=None):
-    """X as a non-empty, finite (rows, ports) float array of width n_ports."""
+    """X as a non-empty (rows, ports) float array of width n_ports whose
+    readings are finite and at most READING_LIMIT_DBM in magnitude."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError(f"readings must be a non-empty (rows, ports) array, "
                          f"got shape {X.shape}")
     if n_ports is not None and X.shape[1] != n_ports:
         raise ValueError(f"readings have {X.shape[1]} ports, layout has {n_ports}")
-    if not np.isfinite(X).all():
-        raise ValueError("readings must be finite")
+    if not (np.abs(X) <= READING_LIMIT_DBM).all():  # also false for nan
+        raise ValueError(f"readings must be finite and within +-{READING_LIMIT_DBM:g} dBm")
     return X
 
 
@@ -303,12 +306,12 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
 
     d_hat, _, iterations, converged, bracketed = _brentq(
         lambda d: res.g(d, X), a, b, gv[rows, j_lo], gv[rows, j_hi],
-        cfg.tolerance, cfg.max_iterations)
+        cfg.tolerance, MAX_ITERATIONS)
     flat = np.flatnonzero(~bracketed)
     if flat.size:
         Xf = X[flat]
         d_f, _, evals = _golden(lambda d: res.sq(d, Xf), a[flat], b[flat],
-                                cfg.tolerance, cfg.max_iterations)
+                                cfg.tolerance, MAX_ITERATIONS)
         d_hat[flat] = d_f
         iterations[flat] = evals
         converged[flat] = True
@@ -371,7 +374,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     Xb = X[br_row]
     root, g_root, its, br_conv, _ = _brentq(
         lambda d: res.g(d, Xb), grid[br_cell], grid[br_cell + 1],
-        gv[br_row, br_cell], gv[br_row, br_cell + 1], cfg.tolerance, cfg.max_iterations)
+        gv[br_row, br_cell], gv[br_row, br_cell + 1], cfg.tolerance, MAX_ITERATIONS)
     iterations = np.bincount(br_row, weights=its, minlength=rows).astype(np.int64)
     keep = np.abs(g_root) <= 1e-3 * g_scale[br_row]
 
@@ -407,7 +410,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
         j_lo, j_hi = _cells(np.argmin(np.where(finite[lost], np.abs(gv[lost]), np.inf), axis=1),
                             grid.size)
         d_l, _, evals = _golden(lambda d: np.abs(res.g(d, Xl)), grid[j_lo], grid[j_hi],
-                                cfg.tolerance, cfg.max_iterations)
+                                cfg.tolerance, MAX_ITERATIONS)
         d_hat[lost] = d_l
         objective[lost] = res.g(d_l, Xl)
         iterations[lost] += evals
@@ -420,12 +423,17 @@ def solve_single_antenna(X, amp_const, path_loss_exp):
 
     d_hat = A^(2/n) * 10^((30 - mean_rssi) / (10 n)); at n = 2 this is the
     familiar A * 10^((30 - mean_rssi)/20). The objective value is the
-    readings' squared deviation about their mean.
+    readings' squared deviation about their mean. A d_hat beyond the float
+    range raises.
     """
     X = _check_rows(X)
     _check_scalars(amp_const, path_loss_exp)
     x_bar = X.mean(axis=1)
-    d_hat = amp_const ** (2.0 / path_loss_exp) * 10.0 ** ((30.0 - x_bar) / (10.0 * path_loss_exp))
+    with np.errstate(over="ignore"):
+        d_hat = (np.float64(amp_const) ** (2.0 / path_loss_exp)
+                 * 10.0 ** ((30.0 - x_bar) / (10.0 * path_loss_exp)))
+    if not np.isfinite(d_hat).all():
+        raise ValueError("readings and link constants put d_hat beyond the float range")
     residual = np.sum((X - x_bar[:, np.newaxis]) ** 2, axis=1)
     return EstimateBatch(d_hat=d_hat, converged=np.ones(X.shape[0], dtype=bool),
                          iterations=np.zeros(X.shape[0], dtype=np.int64),

@@ -19,8 +19,8 @@ reproducibility is checkable from the output alone.
 
 The estimators run once per axis point over all of its trials (see
 estimators: every row is solved on its own, so chunking trials across
-workers changes no bit, and ``fas_ls`` and ``multipoint_ls`` share one
-least-squares solve over their stacked rows).
+workers changes no bit, and the estimators that share a solver share one
+solve over their stacked rows).
 
 Baselines in a trial:
 
@@ -49,8 +49,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import (CorrelationModel, FasLayout, _check_real, average_mu_squared,
-                      build_covariance, standard_normal_rows)
+from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
+                      average_mu_squared, build_covariance, standard_normal_rows)
 from .estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
 from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
                             warn_near_field)
@@ -59,21 +59,26 @@ NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
                    "stderr: leave-one-out jackknife in dB")
 NMSE_FLOOR_DB = -200.0
 
-SWEEP_AXES = ("snr_db", "aperture_w", "port_count_n")
-METHODS = ("fas_mle", "fas_ls", "multipoint_ls", "single_antenna")
+# Sweep axis -> (the spec field its values set, the spec fields it reads
+# fixed). Of the point fields, a spec sets exactly those its axis reads.
+AXES = {
+    "snr_db": ("snr_db", ("n_ports", "aperture")),
+    "aperture_w": ("aperture", ("spacing_h", "snr_db")),
+    "port_count_n": ("n_ports", ("aperture", "snr_db")),
+}
+POINT_FIELDS = ("n_ports", "aperture", "snr_db", "spacing_h")
 
-SPACING_NOTE = {
-    "endpoint": ("spacing=endpoint: N ports across W*lambda; correlation step "
-                 "W/(N-1), port offsets i*W*lambda/N"),
-    "index": ("spacing=index: adjacent ports W*lambda apart; correlation step W, "
-              "port offsets i*W*lambda"),
+# Estimator -> (the measurement vector it reads, the solver it runs).
+METHODS = {
+    "fas_mle": ("fas", "mle"),
+    "fas_ls": ("fas", "ls"),
+    "multipoint_ls": ("mp", "ls"),
+    "single_antenna": ("one", "single"),
 }
 
 # Sweep values of the two reproduction presets.
 FIG2_SNR_VALUES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 FIG3_W_VALUES = tuple(round(0.10 + 0.05 * i, 2) for i in range(19))
-PRESET_WAVELENGTH = 0.125
-PRESET_SPACING = "index"
 
 
 def default_scene():
@@ -88,8 +93,8 @@ class ExperimentSpec:
 
     ``sweep_axis`` picks what ``axis_values`` mean: SNR in dB, normalized
     aperture W (with ``spacing_h`` fixing the per-port pitch, so the realized
-    port count is round(W / spacing_h)), or the port count N. Parameters not
-    owned by the axis are fixed fields.
+    port count is max(2, round(W / spacing_h))), or the port count N. Of the
+    ``POINT_FIELDS`` a spec sets exactly those ``AXES`` says its axis reads.
     """
 
     sweep_axis: str
@@ -98,8 +103,8 @@ class ExperimentSpec:
     base_seed: int
     estimators: Sequence[str]
     scene: Scene
-    wavelength: float = PRESET_WAVELENGTH
-    spacing: str = PRESET_SPACING
+    wavelength: float = FasLayout.wavelength
+    spacing: str = "index"  # the presets' convention
     correlation_model: CorrelationModel = CorrelationModel.AVERAGE_MU
     n_ports: Optional[int] = None
     aperture: Optional[float] = None
@@ -148,11 +153,16 @@ class ExperimentSpec:
         return spec
 
     def validate(self):
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+        if self.sweep_axis not in AXES:
+            raise ValueError(f"sweep_axis must be one of {tuple(AXES)}, got {self.sweep_axis!r}")
+        swept, reads = AXES[self.sweep_axis]
         vals = [_check_real("axis_values", v) for v in self.axis_values]
-        for name in ("wavelength", "n_ports", "aperture", "snr_db", "spacing_h"):
-            if getattr(self, name) is not None:
+        _check_real("wavelength", self.wavelength)
+        for name in POINT_FIELDS:
+            if (getattr(self, name) is None) == (name in reads):
+                verb = "needs" if name in reads else "does not read"
+                raise ValueError(f"sweep_axis {self.sweep_axis!r} {verb} {name}")
+            if name in reads:
                 _check_real(name, getattr(self, name))
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis_values must be non-empty and strictly increasing")
@@ -167,28 +177,13 @@ class ExperimentSpec:
             raise ValueError("estimator list is empty")
         for est in self.estimators:
             if est not in METHODS:
-                raise ValueError(f"unknown estimator {est!r}; expected one of {METHODS}")
+                raise ValueError(f"unknown estimator {est!r}; expected one of {tuple(METHODS)}")
         if len(set(self.estimators)) != len(list(self.estimators)):
             raise ValueError("estimator list contains duplicates")
-        if self.sweep_axis == "snr_db":
-            if self.n_ports is None or self.aperture is None:
-                raise ValueError("an SNR sweep fixes n_ports and aperture")
-            if self.snr_db is not None:
-                raise ValueError("snr_db cannot be both fixed and swept")
-        elif self.sweep_axis == "port_count_n":
-            if self.aperture is None or self.snr_db is None:
-                raise ValueError("a port-count sweep fixes aperture and snr_db")
-            if self.n_ports is not None:
-                raise ValueError("n_ports cannot be both fixed and swept")
-            if any(v != int(v) or v < 1 for v in vals):
-                raise ValueError("port counts must be positive integers")
-        else:  # aperture_w
-            if self.spacing_h is None or self.snr_db is None:
-                raise ValueError("an aperture sweep fixes spacing_h and snr_db")
-            if self.aperture is not None:
-                raise ValueError("aperture cannot be both fixed and swept")
-            if not (self.spacing_h > 0.0):
-                raise ValueError("spacing_h must be positive")
+        if swept == "n_ports" and any(v != int(v) or v < 1 for v in vals):
+            raise ValueError("port counts must be positive integers")
+        if self.spacing_h is not None and not self.spacing_h > 0.0:
+            raise ValueError("spacing_h must be positive")
 
     def to_dict(self):
         """Every field as plain JSON values (the scene as a nested dict)."""
@@ -296,9 +291,8 @@ def nmse_db(estimates, d_true):
 class _PointContext:
     """Everything one axis point's trials need; picklable for workers.
 
-    ``factors`` holds the covariance factor of each measurement vector a
-    trial simulates (``fas``, ``mp``, ``one``), ``means`` its noiseless
-    profile.
+    ``factors`` holds the covariance factor of each measurement vector the
+    estimators read (see ``METHODS``), ``means`` its noiseless profile.
     """
 
     axis_index: int
@@ -309,59 +303,46 @@ class _PointContext:
     factors: dict
     means: dict
     a_coeff: float
-    cfg_mle: EstimatorConfig
-    cfg_ls: EstimatorConfig
+    cfg: EstimatorConfig
 
 
 def _resolve_point(spec, axis_value):
-    if spec.sweep_axis == "snr_db":
-        layout = FasLayout(spec.n_ports, spec.aperture, spec.wavelength, spec.spacing)
-        sigma2 = snr_to_sigma2(axis_value)
-    elif spec.sweep_axis == "port_count_n":
-        layout = FasLayout(int(axis_value), spec.aperture, spec.wavelength, spec.spacing)
-        sigma2 = snr_to_sigma2(spec.snr_db)
-    else:
-        n = max(2, int(round(axis_value / spec.spacing_h)))
-        layout = FasLayout(n, axis_value, spec.wavelength, spec.spacing)
-        sigma2 = snr_to_sigma2(spec.snr_db)
-    return layout, sigma2
+    """Port layout and noise variance of one axis point: the swept field
+    takes the axis value, the others keep the spec's."""
+    point = {name: getattr(spec, name) for name in POINT_FIELDS}
+    point[AXES[spec.sweep_axis][0]] = axis_value
+    if point["spacing_h"] is not None:  # a fixed pitch sets the port count
+        point["n_ports"] = max(2, int(round(point["aperture"] / point["spacing_h"])))
+    layout = FasLayout(point["n_ports"], point["aperture"], spec.wavelength, spec.spacing)
+    return layout, snr_to_sigma2(point["snr_db"])
 
 
 def _make_point_context(spec, axis_index):
-    axis_value = float(list(spec.axis_values)[axis_index])
-    layout, sigma2 = _resolve_point(spec, axis_value)
+    layout, sigma2 = _resolve_point(spec, float(list(spec.axis_values)[axis_index]))
     ests = list(spec.estimators)
     scene = spec.scene
-    layout_one = FasLayout(1, 0.0, spec.wavelength, "endpoint")
-    vectors = {}
-    if any(e in ("fas_mle", "fas_ls") for e in ests):
-        vectors["fas"] = (layout, spec.correlation_model)
-    if "multipoint_ls" in ests:
-        vectors["mp"] = (layout, CorrelationModel.INDEPENDENT)
-    if "single_antenna" in ests:
-        vectors["one"] = (layout_one, CorrelationModel.INDEPENDENT)
-    if "fas" in vectors or "mp" in vectors:
+    # layout and correlation model of every vector a trial can simulate, in
+    # the order the draw digest hashes them; only those the estimators read
+    vectors = {"fas": (layout, spec.correlation_model),
+               "mp": (layout, CorrelationModel.INDEPENDENT),
+               "one": (FasLayout(1, 0.0, spec.wavelength, "endpoint"),
+                       CorrelationModel.INDEPENDENT)}
+    read = {METHODS[est][0] for est in ests}
+    vectors = {name: v for name, v in vectors.items() if name in read}
+    if any(lay is layout for lay, _ in vectors.values()):  # a port sweep is simulated
         warn_near_field(layout, scene)
-    factors = {}
-    means = {}
+    factors, means = {}, {}
     for name, (lay, model) in vectors.items():
         factors[name] = build_covariance(lay, model, sigma2).factor()
         means[name] = predicted_rssi(lay, scene.distance, scene.bearing,
                                      scene.amp_const(lay.wavelength), scene.path_loss_exp)
-
-    if spec.correlation_model is CorrelationModel.INDEPENDENT:
-        a_coeff = 0.0
-    else:
-        a_coeff = average_mu_squared(layout)
-
-    d = scene.distance
-    bracket = (d / 20.0, d * 20.0)
-    cfg_common = dict(search_bracket=bracket, tolerance=1e-6, max_iterations=200)
-    cfg_mle = EstimatorConfig(frozen_weights=spec.mle_frozen_weights, **cfg_common)
-    cfg_ls = EstimatorConfig(**cfg_common)
+    independent = spec.correlation_model is CorrelationModel.INDEPENDENT
+    a_coeff = 0.0 if independent else average_mu_squared(layout)
+    cfg = EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
+                          frozen_weights=spec.mle_frozen_weights)
     return _PointContext(axis_index=axis_index, base_seed=spec.base_seed,
                          estimators=ests, layout=layout, scene=scene, factors=factors,
-                         means=means, a_coeff=a_coeff, cfg_mle=cfg_mle, cfg_ls=cfg_ls)
+                         means=means, a_coeff=a_coeff, cfg=cfg)
 
 
 def _simulate(ctx, t_lo, t_hi):
@@ -388,27 +369,29 @@ def _simulate(ctx, t_lo, t_hi):
     return rows, digests
 
 
+# Solver name -> solve(rows, point context, (amp_const, path_loss_exp)).
+# The single antenna reads the one reading of the group's static draw.
+_SOLVERS = {
+    "mle": lambda X, c, link: solve_mle(X, c.layout, c.scene.bearing, c.a_coeff, c.cfg, *link),
+    "ls": lambda X, c, link: solve_ls(X, c.layout, c.scene.bearing, c.cfg, *link),
+    "single": lambda X, c, link: solve_single_antenna(X, *link),
+}
+
+
 def _run_trials(ctx, t_lo, t_hi):
-    """Run trials [t_lo, t_hi) of one axis point, each estimator once over
-    all of them; returns {estimator: EstimateBatch} plus per-trial draw
-    digests. ``fas_ls`` and ``multipoint_ls`` share one least-squares solve
-    over their stacked rows (every row is solved on its own)."""
+    """{estimator: EstimateBatch} and draw digests of trials [t_lo, t_hi) of
+    one axis point. Each solver runs once, over the stacked rows of every
+    estimator that uses it (every row is solved on its own)."""
     X, digests = _simulate(ctx, t_lo, t_hi)
-    scene, layout = ctx.scene, ctx.layout
-    theta, n_exp = scene.bearing, scene.path_loss_exp
-    amp = scene.amp_const(layout.wavelength)
-    ls_inputs = {"fas_ls": "fas", "multipoint_ls": "mp"}
-    ls_names = [est for est in ctx.estimators if est in ls_inputs]
-    out = {}
-    if ls_names:
-        stacked = solve_ls(np.concatenate([X[ls_inputs[est]] for est in ls_names]),
-                           layout, theta, ctx.cfg_ls, amp, n_exp)
-        out.update(zip(ls_names, stacked.split(len(ls_names))))
+    link = (ctx.scene.amp_const(ctx.layout.wavelength), ctx.scene.path_loss_exp)
+    by_solver = {}
     for est in ctx.estimators:
-        if est == "fas_mle":
-            out[est] = solve_mle(X["fas"], layout, theta, ctx.a_coeff, ctx.cfg_mle, amp, n_exp)
-        elif est == "single_antenna":  # the one reading of the group's static draw
-            out[est] = solve_single_antenna(X["one"], amp, n_exp)
+        by_solver.setdefault(METHODS[est][1], []).append(est)
+    out = {}
+    for solver, ests in by_solver.items():
+        stacked = _SOLVERS[solver](np.concatenate([X[METHODS[est][0]] for est in ests]),
+                                   ctx, link)
+        out.update(zip(ests, stacked.split(len(ests))))
     return out, digests
 
 
@@ -423,10 +406,8 @@ def _reduce_point(spec, axis_value, ctx, parts):
         conv = np.concatenate([part[est].converged for part, _ in parts])
         excluded = int((~conv).sum())
         included = d_hats[conv]
-        if included.size:
-            value, se = nmse_db(included, spec.scene.distance)
-        else:
-            value, se = float("nan"), 0.0
+        value, se = (nmse_db(included, spec.scene.distance) if included.size
+                     else (float("nan"), 0.0))
         rows.append(ResultRow(
             axis_value=float(axis_value), estimator=est, nmse_db=value,
             stderr_db=se, trials=trials, excluded=excluded,
@@ -488,11 +469,8 @@ def doubling_gain(table, estimator):
     if table.sweep_axis != "port_count_n":
         raise ValueError("doubling_gain requires a port-count sweep")
     values = sorted({r.axis_value for r in table.rows})
-    gains = []
-    for v in values:
-        if 2 * v in values:
-            gains.append(table.row(v, estimator).nmse_db
-                         - table.row(2 * v, estimator).nmse_db)
+    gains = [table.row(v, estimator).nmse_db - table.row(2 * v, estimator).nmse_db
+             for v in values if 2 * v in values]
     if not gains:
         raise ValueError("axis contains no doubling pairs")
     return gains
@@ -530,13 +508,12 @@ def find_extrema(table, estimator, window):
 
 
 def fig2_spec(base_seed=42, trials=10000):
-    """SNR sweep preset: N = 12, W = 0.5, all four estimators."""
+    """SNR sweep preset: N = 12, W = 0.5, the paper's four estimators."""
     return ExperimentSpec(
         sweep_axis="snr_db", axis_values=FIG2_SNR_VALUES, trials=trials,
-        base_seed=base_seed, estimators=list(METHODS), scene=default_scene(),
-        wavelength=PRESET_WAVELENGTH, spacing=PRESET_SPACING,
-        correlation_model=CorrelationModel.AVERAGE_MU,
-        n_ports=12, aperture=0.5,
+        base_seed=base_seed,
+        estimators=["fas_mle", "fas_ls", "multipoint_ls", "single_antenna"],
+        scene=default_scene(), n_ports=12, aperture=0.5,
     )
 
 
@@ -549,7 +526,5 @@ def fig3_spec(spacing_h=0.01, base_seed=42, trials=10000):
     return ExperimentSpec(
         sweep_axis="aperture_w", axis_values=FIG3_W_VALUES, trials=trials,
         base_seed=base_seed, estimators=["fas_ls"], scene=default_scene(),
-        wavelength=PRESET_WAVELENGTH, spacing=PRESET_SPACING,
-        correlation_model=CorrelationModel.AVERAGE_MU,
         snr_db=10.0, spacing_h=spacing_h,
     )

@@ -23,8 +23,8 @@ from scipy.optimize import brentq
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance, sample_fading)
 from fasloc.cli import main as cli_main
-from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, solve_ls, solve_mle,
-                               solve_single_antenna)
+from fasloc.estimators import (MAX_ITERATIONS, EstimatorConfig, _SCAN_POINTS, solve_ls,
+                               solve_mle, solve_single_antenna)
 from fasloc.experiments import (ExperimentSpec, default_scene, doubling_gain,
                                 fig2_spec, fig3_spec, find_extrema,
                                 run_experiment)
@@ -225,7 +225,7 @@ def test_criterion_6d_mle_degeneration():
         gv = np.array([g(v) for v in grid])
         lo, hi = next((grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                       if gv[i] * gv[i + 1] < 0)
-        ref = brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=cfg.max_iterations)
+        ref = brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=MAX_ITERATIONS)
         worst = max(worst, abs(mine.d_hat[0] - ref))
     assert report("criterion 6d (a=0 degeneration, 100 scenes)",
                   worst <= 1e-9, f"max |d_hat - reference| = {worst:.2e}")

@@ -20,8 +20,8 @@ from scipy.optimize import brentq, minimize_scalar
 import fasloc
 from fasloc import estimators, experiments
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, kappa_constant,
-                               solve_ls, solve_mle)
+from fasloc.estimators import (_SCAN_POINTS, MAX_ITERATIONS, EstimatorConfig,
+                               kappa_constant, solve_ls, solve_mle)
 from fasloc.experiments import fig2_spec, fig3_spec
 from fasloc.forward_model import RssiProfile, predicted_rssi, simulate_measurements
 
@@ -39,7 +39,7 @@ def ref_ls(x, layout, theta, cfg, amp, n_exp):
         return float(r @ r)
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": cfg.tolerance, "maxiter": cfg.max_iterations})
+                          options={"xatol": cfg.tolerance, "maxiter": MAX_ITERATIONS})
     interior_ok = res.fun <= min(objective(lo), objective(hi)) + 1e-12
     return float(res.x), bool(res.success) and interior_ok, int(res.nfev)
 
@@ -79,7 +79,7 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
         g_scale = float(np.max(np.abs(gv[finite]))) + 1e-30
         for rlo, rhi in changes:
             root, info = brentq(g, rlo, rhi, xtol=cfg.tolerance,
-                                maxiter=cfg.max_iterations, full_output=True)
+                                maxiter=MAX_ITERATIONS, full_output=True)
             iterations += info.iterations
             if abs(g(root)) <= 1e-3 * g_scale:
                 roots.append((float(root), bool(info.converged)))
@@ -89,7 +89,7 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
                               bounds=(float(grid[max(j - 1, 0)]),
                                       float(grid[min(j + 1, len(grid) - 1)])),
                               options={"xatol": cfg.tolerance,
-                                       "maxiter": cfg.max_iterations})
+                                       "maxiter": MAX_ITERATIONS})
         return float(res.x), False, iterations + int(res.nfev)
     if len(roots) == 1:
         return roots[0][0], roots[0][1], iterations
@@ -128,10 +128,10 @@ def ref_point(spec, axis_index):
         for est in ests:
             if est == "fas_mle":
                 out[est].append(ref_mle(vec["fas"], layout, scene.bearing, ctx.a_coeff,
-                                        ctx.cfg_mle, amp, scene.path_loss_exp))
+                                        ctx.cfg, amp, scene.path_loss_exp))
             elif est in ("fas_ls", "multipoint_ls"):
                 x = vec["fas" if est == "fas_ls" else "mp"]
-                out[est].append(ref_ls(x, layout, scene.bearing, ctx.cfg_ls, amp,
+                out[est].append(ref_ls(x, layout, scene.bearing, ctx.cfg, amp,
                                        scene.path_loss_exp))
             else:
                 readings = np.repeat(vec["one"], layout.n_ports)

@@ -134,7 +134,7 @@ def test_fused_least_squares_equals_separate_solves():
     scene = ctx.scene
     amp = scene.amp_const(ctx.layout.wavelength)
     for est, name in (("fas_ls", "fas"), ("multipoint_ls", "mp")):
-        alone = solve_ls(X[name], ctx.layout, scene.bearing, ctx.cfg_ls, amp,
+        alone = solve_ls(X[name], ctx.layout, scene.bearing, ctx.cfg, amp,
                          scene.path_loss_exp)
         for field in ("d_hat", "converged", "iterations", "objective_value"):
             np.testing.assert_array_equal(getattr(got[est], field), getattr(alone, field))

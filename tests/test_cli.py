@@ -1,6 +1,7 @@
 """Command-line interface: presets, single-shot estimation, inspection."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from fasloc import cli
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
 from fasloc.cli import _read_config, main
-from fasloc.estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
+from fasloc.estimators import (READING_LIMIT_DBM, EstimatorConfig, solve_ls, solve_mle,
+                               solve_single_antenna)
 from fasloc.experiments import fig2_spec, run_experiment
 from fasloc.forward_model import (Scene, predicted_rssi, read_measurements,
                                   simulate_measurements, write_measurements)
@@ -282,6 +285,24 @@ def test_reproduce_requires_preset_or_config(capsys):
     assert run_cli("reproduce") == 2
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"sweep_axis": "aperture_w", "axis_values": [0.2, 0.3], "snr_db": 10.0,
+      "spacing_h": 0.05, "layout": {"n_ports": 7}}, "n_ports"),
+    ({"sweep_axis": "snr_db", "axis_values": [0.0, 10.0],
+      "layout": {"n_ports": 8, "aperture": 0.5}, "spacing_h": 0.3}, "spacing_h"),
+    ({"sweep_axis": "port_count_n", "axis_values": [4, 8], "snr_db": 10.0,
+      "layout": {"aperture": 0.5}, "spacing_h": 0.3}, "spacing_h"),
+], ids=["aperture_w-n_ports", "snr_db-spacing_h", "port_count_n-spacing_h"])
+def test_reproduce_config_rejects_a_field_its_axis_does_not_read_with_exit_2(
+        tmp_path, capsys, cfg, field):
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 100, "estimators": ["fas_ls"], **cfg}))
+    assert run_cli("reproduce", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    assert f"does not read {field}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- estimate
 
 @pytest.mark.parametrize("method", ["mle", "ls"])
@@ -351,8 +372,9 @@ def test_estimate_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     assert "input error" in captured.err
 
 
-def estimate_capture(tmp_path, method, capture=None):
-    """Run `estimate` on a benchmark-scene capture; returns (rc, path)."""
+def estimate_capture(tmp_path, method, capture=None, *flags):
+    """Run `estimate` on a benchmark-scene capture, with ``flags`` appended;
+    returns (rc, path)."""
     if capture is None:
         capture = CAPTURE_1 if method == "single" else CAPTURE_12
     path = tmp_path / "capture.txt"
@@ -360,8 +382,60 @@ def estimate_capture(tmp_path, method, capture=None):
     n_ports = str(capture.splitlines()[0].count(","))
     rc = run_cli("estimate", "--input", str(path), "--theta", repr(math.pi / 3.0),
                  "--n-ports", n_ports, "--aperture", "0.5", "--spacing", "index",
-                 "--amp-const", repr(A_DEFAULT), "--method", method)
+                 "--amp-const", repr(A_DEFAULT), "--method", method, *flags)
     return rc, path
+
+
+def with_first_reading(capture, value):
+    """The capture with the first reading of its first snapshot replaced."""
+    head, rest = capture.split("\n", 1)
+    fields = head.split(",")
+    fields[1] = repr(value)
+    return ",".join(fields) + "\n" + rest
+
+
+def estimate_warnings(tmp_path, method, capture, *flags):
+    """(rc, RuntimeWarnings raised) of one `estimate` call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _ = estimate_capture(tmp_path, method, capture, *flags)
+    return rc, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("method", ["mle", "ls", "single"])
+@pytest.mark.parametrize("reading", [math.nextafter(READING_LIMIT_DBM, math.inf), 1e155,
+                                     -1e300])
+def test_estimate_rejects_a_reading_beyond_the_limit_with_exit_2(tmp_path, capsys, method,
+                                                                 reading):
+    capture = with_first_reading(CAPTURE_1 if method == "single" else CAPTURE_12, reading)
+    rc, runtime_warnings = estimate_warnings(tmp_path, method, capture)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, runtime_warnings) == (2, "", [])
+    assert "within +-1e+100 dBm" in captured.err
+
+
+@pytest.mark.parametrize("method", ["mle", "ls"])
+@pytest.mark.parametrize("reading", [READING_LIMIT_DBM, -READING_LIMIT_DBM])
+def test_estimate_solves_readings_at_the_limit_without_warnings(tmp_path, capsys, method,
+                                                                reading):
+    rc, runtime_warnings = estimate_warnings(tmp_path, method,
+                                             with_first_reading(CAPTURE_12, reading))
+    out = capsys.readouterr().out
+    assert rc in (0, 3) and runtime_warnings == []
+    assert json.loads(out)["converged"] is (rc == 0)
+
+
+@pytest.mark.parametrize("reading, flags", [
+    (-READING_LIMIT_DBM, ()),
+    (-60.0, ("--amp-const", "100", "--path-loss-exp", "0.001")),
+], ids=["low-reading", "amp-const-above-1"])
+def test_estimate_single_rejects_a_distance_beyond_the_float_range(tmp_path, capsys,
+                                                                  reading, flags):
+    rc, runtime_warnings = estimate_warnings(
+        tmp_path, "single", with_first_reading(CAPTURE_1, reading), *flags)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, runtime_warnings) == (2, "", [])
+    assert "beyond the float range" in captured.err
 
 
 @pytest.mark.parametrize("method", ["mle", "ls", "single"])
@@ -456,6 +530,47 @@ def test_inspect_stdout_is_pure_json(capsys):
     out = capsys.readouterr().out
     json.loads(out)  # parses as a single object
     assert out.count("\n") == 1
+
+
+# sha256 of `inspect` stdout at aperture 0.3 per "model spacing n_ports",
+# and with every optional flag left at its default, computed before the
+# layout flags moved to a parser shared with `estimate`
+INSPECT_SHA256 = {
+    "jakes endpoint 2": "60b40a117b62da1670fcfb124c00ed1c70aff95b4572c0779bba25e445e4cebc",
+    "jakes endpoint 12": "336043f3474b72267b7b80d93138c71e6d4a6ab1c2d14570b76a0e0b7b0ada93",
+    "jakes endpoint 40": "dfc14accd989945e8565c5d392d7684ad1617ed1ff27a49000cc7f793430fc22",
+    "jakes index 2": "584ecf13c9fcfde95871b1834ffd952de72b360a816fd8c5ac06bfc84c05e109",
+    "jakes index 12": "d4029eaae8dba87d5b1824d97a2bfa3c743a73cfa9a8fe1b44c25cc8af78e708",
+    "jakes index 40": "c395aa9a5e3a0e88f60c9f81dd873808bfdba81f43e88343b9c32675d4e90f00",
+    "average-mu endpoint 2": "3e34de004e4f19bd04fa92fa30ebc0af0a07d8985680c202534d344fa63cc034",
+    "average-mu endpoint 12": "211954af52fc8ddb0616cab6d65b8561d697c5f7c5bf3b2d3399ba0e78a1cf13",
+    "average-mu endpoint 40": "6d32150df471fcfafe5afe00106830a15a31e0b5521fb45308adbe04f0bb9600",
+    "average-mu index 2": "c2485f6609a2da01ce1b8e51a7fcd516ac72fdea5e6405a9a140289005a20c8f",
+    "average-mu index 12": "3fa78b64dfab54ebf5ce5a7617860e4cb7b313e72f0f519611a626cd2ab19b66",
+    "average-mu index 40": "9d2b1446c3e789a7ab180142a3a9af8983baea04796cbc799cfbdc770a2da033",
+    "independent endpoint 2": "a8f496c2cf31a8b7bd19e141eb1401a23170e9cbdf2b08f234dc08687d71b3a6",
+    "independent endpoint 12": "34dfa74f863f16a1a4d5793a3476b47beba3fb00117064a395a91269ccbc9bf3",
+    "independent endpoint 40": "2029ee9b098214d21a4d023ff4a3044c931888268b46475681ce72e8c9345208",
+    "independent index 2": "77e663a75883619c6362e3db7e3ed46f44bbc61736bcd6d4592673a628bfcf90",
+    "independent index 12": "0a03e8069f840a61aa40fa45ce0d0500529678e3421cbc82dc08dd56f074a879",
+    "independent index 40": "b0523ac80d41d5d566ce099c5985bb59fbe53b6445bf85b00314b0d5030359ba",
+}
+INSPECT_DEFAULTS_SHA256 = "796eb88fddf728bdf893852cde62116b2b26f81d47ef1884abfd2dbee036dc32"
+
+
+@pytest.mark.parametrize("case", list(INSPECT_SHA256))
+def test_inspect_prints_the_pinned_json(case):
+    model, spacing, n_ports = case.split()
+    rc, out = call_cli(["inspect", "--n-ports", n_ports, "--aperture", "0.3",
+                        "--model", model, "--spacing", spacing])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_SHA256[case]
+
+
+def test_inspect_defaults_print_the_pinned_json():
+    rc, out = call_cli(["inspect", "--n-ports", "12", "--aperture", "0.5"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_DEFAULTS_SHA256
 
 
 # ---------------------------------------------------------------- one parser per process

@@ -8,7 +8,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,10 +75,6 @@ def reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-# Readings of 1e16 dBm and more overflow inside the solvers, which warn and
-# give a non-finite result; the property still holds for them (exit 2).
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(call=estimate_calls())
 def test_estimate_exits_0_2_or_3_with_at_most_one_strict_json_line(call):

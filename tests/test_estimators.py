@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
-from fasloc.estimators import (EstimatorConfig, _SCAN_POINTS, kappa_constant,
-                               solve_ls, solve_mle, solve_single_antenna)
+from fasloc.estimators import (MAX_ITERATIONS, EstimatorConfig, _SCAN_POINTS,
+                               kappa_constant, solve_ls, solve_mle, solve_single_antenna)
 from fasloc.forward_model import (RssiProfile, Scene, predicted_rssi,
                                   simulate_measurements)
 
@@ -202,7 +202,7 @@ def test_mle_degenerates_to_uncorrelated_solver():
         gv = np.array([g(v) for v in grid])
         lo, hi = next((grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                       if gv[i] * gv[i + 1] < 0)
-        return brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=cfg.max_iterations)
+        return brentq(g, lo, hi, xtol=cfg.tolerance, maxiter=MAX_ITERATIONS)
 
     for t in range(10):
         X = simulate_measurements(lay, scene, cov, (9, 0, t), 1)

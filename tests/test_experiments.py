@@ -10,7 +10,7 @@ import pytest
 
 import fasloc.experiments as experiments
 from fasloc.channel import CorrelationModel
-from fasloc.experiments import (FIG2_SNR_VALUES, METHODS, ExperimentSpec,
+from fasloc.experiments import (AXES, FIG2_SNR_VALUES, METHODS, POINT_FIELDS, ExperimentSpec,
                                 ResultRow, ResultTable, default_scene,
                                 doubling_gain, fig2_spec, fig3_spec,
                                 find_extrema, nmse_db, run_experiment)
@@ -90,6 +90,28 @@ def test_spec_validation_catches_conflicts():
         ExperimentSpec(sweep_axis="aperture_w", axis_values=(0.1, 0.2),
                        trials=100, base_seed=1, estimators=["fas_ls"],
                        scene=default_scene(), snr_db=10.0).validate()
+
+
+@pytest.mark.parametrize("axis", list(AXES))
+def test_spec_sets_exactly_the_point_fields_its_axis_reads(axis):
+    values = {"n_ports": 8, "aperture": 0.5, "snr_db": 10.0, "spacing_h": 0.05}
+    reads = {name: values[name] for name in AXES[axis][1]}
+
+    def spec(**point):
+        return ExperimentSpec(sweep_axis=axis, axis_values=(4.0, 8.0), trials=100,
+                              base_seed=1, estimators=["fas_ls"], scene=default_scene(),
+                              **point)
+
+    spec(**reads).validate()
+    for name in POINT_FIELDS:
+        if name in reads:
+            point = {k: v for k, v in reads.items() if k != name}
+            message = f"needs {name}"
+        else:
+            point = {**reads, name: values[name]}
+            message = f"does not read {name}"
+        with pytest.raises(ValueError, match=message):
+            spec(**point).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
