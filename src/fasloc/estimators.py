@@ -32,8 +32,17 @@ Three families:
 
 Both root problems go through ``_brentq``, an operation-for-operation port
 of scipy's ``brentq`` in which every row carries its own bracket and stops
-on its own. The solvers are the one place that checks their input: the
-readings, the bearing and the link constants.
+on its own. The bracket scan before it is one vector-matrix product per row
+on expanded inner products (a lone row is scanned directly), whose table
+only picks the cells: where its rounding could change a sign, a minimum or
+the largest |g|, the entries are recomputed, so the cells and the root
+test's scale are those a table of the function itself gives. Every value
+that reaches a refinement or a result (the function at both cell ends, the
+largest |g| on the grid, the least-squares objective at the bracket ends)
+is computed row by row from the residuals themselves, so it does not depend
+on how the table rounds or on which rows share a batch.
+The solvers are the one place that checks their input: the readings, the
+bearing, the link constants and, through the scan, the model they imply.
 """
 
 import math
@@ -49,12 +58,11 @@ _SCAN_POINTS = 33
 _RTOL = 4.0 * np.finfo(float).eps
 # Golden-section ratio (sqrt(5) - 1) / 2.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Elements of one (rows, grid, ports) block of the scan; bounds its memory.
-_SCAN_BLOCK = 1 << 18
 # Iteration cap of the Brent and golden-section refinements.
 MAX_ITERATIONS = 200
-# Largest reading magnitude accepted, in dBm. Squared residuals stay near
-# 1e200, so no scan sum over any realistic port count can overflow.
+# Largest reading magnitude accepted, in dBm; the model on the scan grid must
+# stay within it too. Squared residuals and the scan's expanded sums stay
+# near 1e200, so no sum over any realistic port count can overflow.
 READING_LIMIT_DBM = 1e100
 
 
@@ -97,16 +105,31 @@ def kappa_constant(a, n_ports):
 
 
 class _Residual:
-    """Weighted residual sums of one batch of readings.
+    """Weighted residual sums of one batch of readings on one scan grid.
 
     ``weights(d, di_sq)`` maps distances (M,) and their squared port
     distances to per-port weights, (M, N) or (N,); ``g(d, X)`` is
-    sum_i w_i(d) * (x_i - M_i(d)) for rows X aligned with d.
+    sum_i w_i(d) * (x_i - M_i(d)) for rows X aligned with d, and ``sq(d, X)``
+    is sum_i (x_i - M_i(d))^2. The model and the weights on ``grid`` are
+    computed once; ``g_grid`` and ``sq_grid`` evaluate g and sq at grid
+    points from them, with the bits of ``g`` and ``sq``. Raises when the
+    model leaves +-READING_LIMIT_DBM on the grid, which also keeps the
+    scan's expanded sums far from overflow.
     """
 
-    def __init__(self, profile, weights):
+    def __init__(self, profile, weights, grid):
         self.profile = profile
         self.weights = weights
+        di_sq = profile.dist_sq(grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite slope
+            self.model = profile.rssi(di_sq)
+        self.model_max = np.abs(self.model).max()
+        if not self.model_max <= READING_LIMIT_DBM:  # also true for nan
+            raise ValueError(
+                f"path_loss_exp and amp_const put the model RSSI beyond "
+                f"+-{READING_LIMIT_DBM:g} dBm inside the search bracket")
+        self.w = np.empty_like(self.model)
+        self.w[...] = weights(grid, di_sq)
 
     def g(self, d, X):
         di_sq = self.profile.dist_sq(d)
@@ -116,21 +139,48 @@ class _Residual:
         r = X - self.profile.rssi(self.profile.dist_sq(d))
         return (r * r).sum(axis=1)
 
-    def scan(self, grid, X, squared=False):
-        """(rows, grid) table of g on ``grid``, and with ``squared`` also the
-        table of squared residual sums."""
-        di_sq = self.profile.dist_sq(grid)
-        model = self.profile.rssi(di_sq)
-        w = self.weights(grid, di_sq)
-        gv = np.empty((X.shape[0], grid.size))
-        sq = np.empty_like(gv) if squared else None
-        step = max(1, _SCAN_BLOCK // model.size)
-        for s in range(0, X.shape[0], step):
-            r = X[s:s + step, np.newaxis, :] - model[np.newaxis]
-            gv[s:s + step] = (w * r).sum(axis=2)
-            if squared:
-                sq[s:s + step] = (r * r).sum(axis=2)
-        return gv, sq
+    def g_grid(self, j, X):
+        """g at grid points j for the rows of X; an index array of shape
+        (..., rows) or (..., 1) gives a result of that shape."""
+        return (self.w[j] * (X - self.model[j])).sum(axis=-1)
+
+    def sq_grid(self, j, X):
+        """sq at grid points j for the rows of X, shaped as in ``g_grid``."""
+        r = X - self.model[j]
+        return (r * r).sum(axis=-1)
+
+    def scan(self, X, squared=False):
+        """(rows, grid) table of g on the grid, or with ``squared`` of sq,
+        from the expanded inner products
+
+            g = X W^T - rowsum(W o M),  sq = sum x^2 - 2 X M^T + rowsum(M o M)
+
+        with W the weights and M the model on the grid, and per row a slack
+        that bounds the table's distance from ``g`` or ``sq`` themselves at
+        every grid point. In any summation order, each form errs by at most
+        (N + 2) eps times sum |x||w| + |w M| <= N max|w| (max|x| + max|M|)
+        for g, and times sum x^2 + 2|x M| + M^2 <= 2 (|x|^2 + N max|M|^2)
+        for sq, to first order; the slack is 4 (N + 1) eps times the right
+        sides, which covers both forms. Each row is its own vector-matrix
+        product, (rows, 1, N) @ (N, grid), so no (rows, grid, ports)
+        temporary exists and a row's bits do not depend on the other rows.
+        A batch of one row, a single-shot estimate, is scanned directly
+        instead, (x - M) on the whole grid with zero slack: that costs fewer
+        operations than the expanded sums, and both pick the same cells.
+        """
+        if X.shape[0] == 1:
+            r = X[:, np.newaxis, :] - self.model
+            return (r * r if squared else self.w * r).sum(axis=2), np.zeros((1, 1))
+        n = X.shape[1]
+        tol = 4.0 * (n + 1) * np.finfo(float).eps
+        if squared:
+            x_sq = (X * X).sum(axis=1, keepdims=True)
+            table = (x_sq - 2.0 * (X[:, np.newaxis, :] @ self.model.T)[:, 0, :]
+                     + (self.model * self.model).sum(axis=1))
+            return table, (2.0 * tol) * x_sq + 2.0 * tol * n * self.model_max ** 2
+        table = (X[:, np.newaxis, :] @ self.w.T)[:, 0, :] - (self.w * self.model).sum(axis=1)
+        return table, tol * n * np.abs(self.w).max() * (np.abs(X).max(axis=1, keepdims=True)
+                                                        + self.model_max)
 
 
 def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
@@ -139,9 +189,9 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     Row k solves f(x)[k] = 0 on [xa[k], xb[k]] with scipy's steps and tests,
     in the same order, so each row reproduces scipy's iterate sequence. f
     maps an array of abscissae to the array of values, row by row; fa and
-    fb are its values at the bracket ends, which the grid scan has already
-    computed with the same arithmetic. A row whose endpoint values share a
-    sign is not solved (``bracketed`` False).
+    fb are its values at the bracket ends, which the solvers take from the
+    model and weights on the grid with the same arithmetic. A row whose
+    endpoint values share a sign is not solved (``bracketed`` False).
     Returns (root, f(root), iterations, converged, bracketed).
     """
     xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
@@ -254,6 +304,20 @@ def _golden(phi, a, b, xtol, maxiter):
     return np.where(best_c, c, d), np.where(best_c, fc, fd), evaluations
 
 
+def _exact_argmin(table, slack, exact):
+    """Per row, the index of the smallest entry of the exact table, which
+    ``table`` approximates to within the row's ``slack``: when some row has
+    several entries that may be its minimum, every such entry is replaced
+    in place by exact(rows, cells). A zero slack marks a table that is the
+    exact one. Ties go to the first index, as in np.argmin."""
+    if slack.any():
+        near = table <= np.min(table, axis=1, keepdims=True) + 2.0 * slack
+        if np.count_nonzero(near) > table.shape[0]:
+            rows, cells = np.nonzero(near)
+            table[rows, cells] = exact(rows, cells)
+    return np.argmin(table, axis=1)
+
+
 def _cells(j, size):
     """Grid indices bounding the two cells around index j, clipped at the ends."""
     return np.maximum(j - 1, 0), np.minimum(j + 1, size - 1)
@@ -297,15 +361,14 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
     _check_scalars(amp_const, path_loss_exp, theta)
     lo, hi = cfg.search_bracket
     profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
-    res = _Residual(profile, profile.derivative)
     grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    gv, fv = res.scan(grid, X, squared=True)
-    j_lo, j_hi = _cells(np.argmin(fv, axis=1), grid.size)
+    res = _Residual(profile, profile.derivative, grid)
+    fv, slack = res.scan(X, squared=True)
+    j_lo, j_hi = _cells(_exact_argmin(fv, slack, lambda r, c: res.sq_grid(c, X[r])), grid.size)
     a, b = grid[j_lo], grid[j_hi]
-    rows = np.arange(X.shape[0])
 
     d_hat, _, iterations, converged, bracketed = _brentq(
-        lambda d: res.g(d, X), a, b, gv[rows, j_lo], gv[rows, j_hi],
+        lambda d: res.g(d, X), a, b, *res.g_grid(np.array((j_lo, j_hi)), X),
         cfg.tolerance, MAX_ITERATIONS)
     flat = np.flatnonzero(~bracketed)
     if flat.size:
@@ -316,7 +379,7 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
         iterations[flat] = evals
         converged[flat] = True
     f_hat = res.sq(d_hat, X)
-    interior_ok = f_hat <= np.minimum(fv[:, 0], fv[:, -1]) + 1e-12
+    interior_ok = f_hat <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12
     return EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
                          iterations=iterations, objective_value=f_hat)
 
@@ -360,11 +423,21 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
             derivs = profile.dropped_term_derivative(d)
             return derivs - kap * derivs.sum(axis=1, keepdims=True)
 
-    res = _Residual(profile, weights)
     grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
-    gv, _ = res.scan(grid, X)
+    res = _Residual(profile, weights, grid)
+    gv, slack = res.scan(X)
+    # where the table may give g the wrong sign or the wrong largest |g|, g
+    # itself decides; a zero slack marks a table that is g itself
+    abs_gv = np.abs(gv)
     finite = np.isfinite(gv)
-    g_scale = np.max(np.where(finite, np.abs(gv), 0.0), axis=1) + 1e-30
+    g_max = np.max(abs_gv, axis=1, where=finite, initial=0.0, keepdims=True)
+    top = abs_gv >= g_max - 2.0 * slack
+    exact_row, exact_cell = np.nonzero((abs_gv <= slack) | (top & (slack > 0.0)))
+    if exact_row.size:
+        gv[exact_row, exact_cell] = res.g_grid(exact_cell, X[exact_row])
+        abs_gv = np.abs(gv)
+        finite = np.isfinite(gv)
+    g_scale = np.max(abs_gv, axis=1, where=finite, initial=0.0) + 1e-30
 
     # a grid point can land exactly on the root (noiseless data with a
     # symmetric bracket does this); the product test would miss it
@@ -374,7 +447,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     Xb = X[br_row]
     root, g_root, its, br_conv, _ = _brentq(
         lambda d: res.g(d, Xb), grid[br_cell], grid[br_cell + 1],
-        gv[br_row, br_cell], gv[br_row, br_cell + 1], cfg.tolerance, MAX_ITERATIONS)
+        *res.g_grid(np.array((br_cell, br_cell + 1)), Xb), cfg.tolerance, MAX_ITERATIONS)
     iterations = np.bincount(br_row, weights=its, minlength=rows).astype(np.int64)
     keep = np.abs(g_root) <= 1e-3 * g_scale[br_row]
 
@@ -407,7 +480,9 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     lost = np.flatnonzero(n_roots == 0)
     if lost.size:
         Xl = X[lost]
-        j_lo, j_hi = _cells(np.argmin(np.where(finite[lost], np.abs(gv[lost]), np.inf), axis=1),
+        j_lo, j_hi = _cells(_exact_argmin(np.where(finite[lost], np.abs(gv[lost]), np.inf),
+                                          slack[lost],
+                                          lambda r, c: np.abs(res.g_grid(c, Xl[r]))),
                             grid.size)
         d_l, _, evals = _golden(lambda d: np.abs(res.g(d, Xl)), grid[j_lo], grid[j_hi],
                                 cfg.tolerance, MAX_ITERATIONS)

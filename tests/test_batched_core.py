@@ -8,13 +8,16 @@ for least squares.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import fasloc
@@ -223,6 +226,141 @@ def test_batch_results_do_not_depend_on_the_split():
             np.testing.assert_array_equal(getattr(whole[est], field), joined)
 
 
+# One axis point of each preset: fig3 at h = 0.01, W = 1.0 (N = 100, the
+# longest port vector) and fig2 at SNR 10 dB (N = 12).
+POINTS = {"fig3_n100": (fig3_spec(spacing_h=0.01, base_seed=3, trials=100), 18, 100),
+          "fig2_n12": (fig2_spec(base_seed=3, trials=100), 2, 12)}
+SOLVERS = {
+    "ls": lambda X, c: solve_ls(X, c.layout, c.scene.bearing, c.cfg, *_link(c)),
+    "mle": lambda X, c: solve_mle(X, c.layout, c.scene.bearing, c.a_coeff, c.cfg, *_link(c)),
+    "mle_frozen": lambda X, c: solve_mle(
+        X, c.layout, c.scene.bearing, c.a_coeff,
+        EstimatorConfig(search_bracket=c.cfg.search_bracket, frozen_weights=True), *_link(c)),
+}
+FIELDS = ("d_hat", "converged", "iterations", "objective_value")
+
+
+def _link(ctx):
+    return ctx.scene.amp_const(ctx.layout.wavelength), ctx.scene.path_loss_exp
+
+
+def _point(name):
+    spec, axis_index, n_ports = POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ctx = experiments._make_point_context(spec, axis_index)
+    assert ctx.layout.n_ports == n_ports
+    return spec, ctx
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
+    spec, ctx = _point(point)
+    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    whole = SOLVERS[solver](X, ctx)
+    for k in range(X.shape[0]):
+        alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
+        for field in FIELDS:
+            assert getattr(alone, field).tobytes() == getattr(whole, field)[k:k + 1].tobytes(), \
+                (k, field)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_scan_rows_do_not_depend_on_the_other_rows(point):
+    # the results above hold even for a scan whose table bits depend on the
+    # batch (a 2-D product goes to gemm for many rows, to gemv for few), as
+    # the table only picks cells; this checks the table itself, on pairs of
+    # rows (a row alone is scanned directly)
+    spec, ctx = _point(point)
+    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    profile = RssiProfile(ctx.layout, ctx.scene.bearing, *_link(ctx))
+    res = estimators._Residual(profile, profile.derivative,
+                               np.geomspace(*ctx.cfg.search_bracket, _SCAN_POINTS))
+    for squared in (False, True):
+        whole = res.scan(X, squared)
+        for k in range(0, X.shape[0], 2):
+            pair = res.scan(X[k:k + 2].copy(), squared)
+            for part, table in zip(pair, whole):
+                assert part.tobytes() == table[k:k + 2].tobytes(), (k, squared)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
+    spec, ctx = _point(point)
+    whole, whole_digests = experiments._run_trials(ctx, 0, spec.trials)
+    for t in (0, 1, 50, spec.trials - 1):
+        one, digests = experiments._run_trials(ctx, t, t + 1)
+        assert digests == whole_digests[t:t + 1]
+        for est in spec.estimators:
+            for field in FIELDS:
+                assert getattr(one[est], field).tobytes() == \
+                    getattr(whole[est], field)[t:t + 1].tobytes(), (t, est, field)
+    # run_experiment reduces a point from one chunk of trials per worker
+    axis_value = spec.axis_values[POINTS[point][1]]
+    bounds = (0, 1, 2, 51, 52, spec.trials)
+    parts = [experiments._run_trials(ctx, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert experiments._reduce_point(spec, axis_value, ctx, parts) == \
+        experiments._reduce_point(spec, axis_value, ctx, [(whole, whole_digests)])
+
+
+def test_ls_scan_holds_no_rows_by_grid_by_ports_temporary():
+    spec, ctx = _point("fig3_n100")
+    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    block = X.shape[0] * _SCAN_POINTS * X.shape[1] * X.itemsize  # 2.52 MiB
+    tracemalloc.start()
+    try:
+        SOLVERS["ls"](X, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
+
+
+def _direct_scan(self, X, squared=False):
+    """The scan as a (rows, grid, ports) table of g or sq themselves, with
+    zero slack: the cells every solver must pick."""
+    r = X[:, np.newaxis, :] - self.model
+    table = (r * r if squared else self.w * r).sum(axis=2)
+    return table, np.zeros_like(table)
+
+
+def _edge_rows(layout, theta, amp, grid):
+    """Readings whose scan tables sit at the rounding edge: noiseless rows at
+    each grid point with one reading nudged by one ulp (g there is about
+    1e-14 and the expanded sums often give it the wrong sign, or 0), and
+    noiseless rows at the geometric midpoint of each cell (the objective
+    ties at the cell ends)."""
+    rows = []
+    for j in range(1, _SCAN_POINTS - 1):
+        x = predicted_rssi(layout, grid[j], theta, amp)
+        for k in range(layout.n_ports):
+            for toward in (-math.inf, math.inf):
+                y = x.copy()
+                y[k] = np.nextafter(y[k], toward)
+                rows.append(y)
+        rows.append(predicted_rssi(layout, math.sqrt(grid[j] * grid[j + 1]), theta, amp))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n_ports", [1, 3, 12])
+def test_solvers_pick_the_cells_of_the_direct_table(monkeypatch, n_ports):
+    lay = FasLayout(n_ports, 0.5, 0.125, spacing="index")
+    theta, amp = 0.3, 3.14557575653044e-4
+    cfg = EstimatorConfig(search_bracket=(1.0, 400.0))
+    frozen = EstimatorConfig(search_bracket=(1.0, 400.0), frozen_weights=True)
+    X = _edge_rows(lay, theta, amp, np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
+    solves = (lambda: solve_ls(X, lay, theta, cfg, amp, 2.0),
+              lambda: solve_mle(X, lay, theta, 0.0, cfg, amp, 2.0),
+              lambda: solve_mle(X, lay, theta, 0.3, frozen, amp, 2.0))
+    own = [solve() for solve in solves]
+    monkeypatch.setattr(estimators._Residual, "scan", _direct_scan)
+    for got, solve in zip(own, solves):
+        want = solve()
+        for field in FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
 def test_multi_root_tie_break_matches_reference(monkeypatch):
     # readings far from any model profile give g several roots in the
     # bracket; the least-squares anchor is solved for those rows only
@@ -248,6 +386,33 @@ def test_multi_root_tie_break_matches_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------- run time
+
+def test_sweep_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    common = {"trials": 200, "base_seed": 11, "correlation_model": "average-mu",
+              "scene": {"distance": 10.0, "bearing": math.pi / 3.0}}
+    configs = {
+        "fig2": {**common, "sweep_axis": "snr_db", "axis_values": [10.0, 30.0],
+                 "estimators": ["fas_mle", "fas_ls", "multipoint_ls", "single_antenna"],
+                 "layout": {"n_ports": 12, "aperture": 0.5, "spacing": "index"}},
+        "fig3": {**common, "sweep_axis": "aperture_w", "axis_values": [0.5, 1.0],
+                 "estimators": ["fas_ls"], "snr_db": 10.0, "spacing_h": 0.01,
+                 "layout": {"spacing": "index"}},
+    }
+    src = os.path.dirname(os.path.dirname(fasloc.__file__))
+    for name, config in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "fasloc", "reproduce", "--config", str(path),
+                            "--out", str(out)], capture_output=True, check=True, timeout=120,
+                           env=env)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1], name
+
 
 def test_cli_import_does_not_load_scipy():
     code = "import sys, fasloc.cli; print('scipy' in sys.modules)"

@@ -438,6 +438,17 @@ def test_estimate_single_rejects_a_distance_beyond_the_float_range(tmp_path, cap
     assert "beyond the float range" in captured.err
 
 
+@pytest.mark.parametrize("method", ["mle", "ls"])
+@pytest.mark.parametrize("path_loss_exp", ["1e300", "1.7e308"])
+def test_estimate_rejects_a_model_beyond_the_reading_limit_with_exit_2(tmp_path, capsys,
+                                                                      method, path_loss_exp):
+    rc, runtime_warnings = estimate_warnings(tmp_path, method, CAPTURE_12,
+                                             "--path-loss-exp", path_loss_exp)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, runtime_warnings) == (2, "", [])
+    assert "path_loss_exp and amp_const" in captured.err
+
+
 @pytest.mark.parametrize("method", ["mle", "ls", "single"])
 def test_estimate_prints_the_pinned_line(tmp_path, capsys, method):
     rc, _ = estimate_capture(tmp_path, method)

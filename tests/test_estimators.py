@@ -312,6 +312,22 @@ def test_ls_flags_bracket_that_excludes_minimum():
     assert not est.converged[0]
 
 
+@pytest.mark.parametrize("n_ports", [8, 20, 50, 100])
+@pytest.mark.parametrize("end", [0, -1])
+def test_ls_converges_on_noiseless_readings_at_a_bracket_end(n_ports, end):
+    # the objective is exactly 0 at the end; its scan table value, from
+    # expanded sums, can round below 0 by more than the 1e-12 endpoint slack.
+    # Two rows, so the batch takes the expanded sums and not the one-row scan.
+    lay = FasLayout(n_ports, 0.5, 0.125, spacing="index")
+    amp = 3.14557575653044e-4
+    ends = (2.0, 80.0)
+    X = np.array([predicted_rssi(lay, ends[end], 1.0, amp),
+                  predicted_rssi(lay, ends[end - 1], 1.0, amp)])
+    est = solve_ls(X, lay, 1.0, EstimatorConfig(search_bracket=ends), amp, 2.0)
+    for k, d_end in enumerate((ends[end], ends[end - 1])):
+        assert (est.d_hat[k], est.converged[k], est.objective_value[k]) == (d_end, True, 0.0)
+
+
 def test_estimators_need_link_constants_for_external_data():
     lay = FasLayout(3, 0.5, 0.125)
     X = np.array([[-60.0, -60.1, -59.9]])
@@ -326,6 +342,36 @@ def test_estimators_need_link_constants_for_external_data():
             solve_single_antenna(X, amp, n_exp)
     est = solve_ls(X, lay, 1.0, cfg, 3.14557575653044e-4, 2.0)
     assert est.d_hat[0] > 0.0
+
+
+def test_solvers_take_array_scalar_bracket_ends():
+    lay = FasLayout(3, 0.5, 0.125)
+    X = np.array([[-60.0, -60.1, -59.9], [-55.0, -55.2, -54.9]])
+    amp = 3.14557575653044e-4
+    plain = EstimatorConfig(search_bracket=(0.1, 1000.0))
+    arrays = EstimatorConfig(search_bracket=(np.array(0.1), np.array(1000.0)))
+    for solve in (lambda cfg: solve_ls(X, lay, 1.0, cfg, amp, 2.0),
+                  lambda cfg: solve_mle(X, lay, 1.0, 0.3, cfg, amp, 2.0)):
+        want, got = solve(plain), solve(arrays)
+        for field in ("d_hat", "converged", "iterations", "objective_value"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_solvers_reject_a_model_beyond_the_reading_limit():
+    # on the bracket (0.1, 1000) the model is 30 + 20 log10(A) - 5 n log10(d_i^2),
+    # with log10(d_i^2) up to 6: n = 3e98 keeps it inside 1e100 dBm
+    lay = FasLayout(3, 0.5, 0.125)
+    X = np.array([[-60.0, -60.1, -59.9]])
+    cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
+    frozen = EstimatorConfig(search_bracket=(0.1, 1000.0), frozen_weights=True)
+    solvers = (lambda n: solve_ls(X, lay, 1.0, cfg, 3e-4, n),
+               lambda n: solve_mle(X, lay, 1.0, 0.0, cfg, 3e-4, n),
+               lambda n: solve_mle(X, lay, 1.0, 0.3, frozen, 3e-4, n))
+    for solve in solvers:
+        for n_exp in (1e99, 1e300, 1.7e308):
+            with pytest.raises(ValueError, match="path_loss_exp and amp_const"):
+                solve(n_exp)
+        assert solve(3e98).converged[0]
 
 
 def test_solvers_reject_a_width_other_than_the_layout():
