@@ -15,7 +15,9 @@ Three families:
       b_i = dM_i/dd - kappa * sum_j dM_j/dd,
       kappa = a^2 / ((1 - a^2) * (1 + a^2 (N - 1))),
 
-  solved by a bracketed scan plus Brent root refinement. ``a = 0`` gives
+  solved by a bracketed scan plus Brent root refinement. The working
+  bracket starts above every pole of the weights, so g is continuous on it
+  and each sign change on the scan grid holds a root. ``a = 0`` gives
   kappa = 0 and reduces exactly to the uncorrelated weighted-ML estimator.
   By default the weights are re-evaluated at the current d inside the
   solver (the exact self-consistent stationarity); ``frozen_weights``
@@ -34,13 +36,12 @@ Both root problems go through ``_brentq``, an operation-for-operation port
 of scipy's ``brentq`` in which every row carries its own bracket and stops
 on its own. The bracket scan before it is one vector-matrix product per row
 on expanded inner products (a lone row is scanned directly), whose table
-only picks the cells: where its rounding could change a sign, a minimum or
-the largest |g|, the entries are recomputed, so the cells and the root
-test's scale are those a table of the function itself gives. Every value
-that reaches a refinement or a result (the function at both cell ends, the
-largest |g| on the grid, the least-squares objective at the bracket ends)
-is computed row by row from the residuals themselves, so it does not depend
-on how the table rounds or on which rows share a batch.
+only picks the cells: where its rounding could change a sign or a minimum,
+the entries are recomputed, so the cells are those a table of the function
+itself gives. Every value that reaches a refinement or a result (the
+function at both cell ends, the least-squares objective at the bracket
+ends) is computed row by row from the residuals themselves, so it does not
+depend on how the table rounds or on which rows share a batch.
 The solvers are the one place that checks their input: the readings, the
 bearing, the link constants and, through the scan, the model they imply.
 """
@@ -387,9 +388,9 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
 def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     """Correlated-noise weighted estimates for the rows of X: roots of g(d).
 
-    The bracket is scanned on a geometric grid; each sign-change interval is
-    refined with Brent's method and kept when |g| there is below 1e-3 of the
-    largest scanned |g| (a sign change across a pole is not a root). With
+    The working bracket starts just above ``RssiProfile.pole``, the largest
+    pole of the weights, so g is continuous on it and each sign change on
+    the geometric scan grid holds a root, refined with Brent's method. With
     several roots the one closest to the least-squares estimate of the same
     row wins (deterministic tie-break). With none, the minimizer of |g| in
     the two cells around the best scan point is returned with
@@ -401,17 +402,15 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     rows = X.shape[0]
     lo, hi = cfg.search_bracket
 
-    # The dropped-term derivative is singular at d = 2*off*cos(theta); keep
-    # the working bracket above the largest singularity.
-    pole = 2.0 * float(np.max(layout.port_offsets_m())) * math.cos(theta)
-    lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
+    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
+    pole = profile.pole
+    lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
     if lo_eff >= hi:
         raise ValueError(
             f"bracket {cfg.search_bracket} lies inside the weight-singularity "
             f"radius {pole:.3g} m"
         )
 
-    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     if cfg.frozen_weights:
         derivs = profile.dropped_term_derivative(np.array([0.5 * (lo + hi)]))[0]
         frozen_b = derivs - kap * derivs.sum()
@@ -426,36 +425,28 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
     res = _Residual(profile, weights, grid)
     gv, slack = res.scan(X)
-    # where the table may give g the wrong sign or the wrong largest |g|, g
-    # itself decides; a zero slack marks a table that is g itself
-    abs_gv = np.abs(gv)
-    finite = np.isfinite(gv)
-    g_max = np.max(abs_gv, axis=1, where=finite, initial=0.0, keepdims=True)
-    top = abs_gv >= g_max - 2.0 * slack
-    exact_row, exact_cell = np.nonzero((abs_gv <= slack) | (top & (slack > 0.0)))
+    # where the table may give g the wrong sign, g itself decides
+    exact_row, exact_cell = np.nonzero(np.abs(gv) <= slack)
     if exact_row.size:
         gv[exact_row, exact_cell] = res.g_grid(exact_cell, X[exact_row])
-        abs_gv = np.abs(gv)
-        finite = np.isfinite(gv)
-    g_scale = np.max(abs_gv, axis=1, where=finite, initial=0.0) + 1e-30
 
-    # a grid point can land exactly on the root (noiseless data with a
-    # symmetric bracket does this); the product test would miss it
-    zero_row, zero_cell = np.nonzero(finite & (gv == 0.0))
-    change = finite[:, :-1] & finite[:, 1:] & (gv[:, :-1] * gv[:, 1:] < 0.0)
-    br_row, br_cell = np.nonzero(change)
+    # every sign change holds a root, and a grid point can land exactly on
+    # one (noiseless data with a symmetric bracket does this)
+    nonzero = gv != 0.0
+    zero_row, zero_cell = np.nonzero(~nonzero)
+    sign = np.signbit(gv)
+    br_row, br_cell = np.nonzero(nonzero[:, :-1] & nonzero[:, 1:] & (sign[:, :-1] != sign[:, 1:]))
     Xb = X[br_row]
     root, g_root, its, br_conv, _ = _brentq(
         lambda d: res.g(d, Xb), grid[br_cell], grid[br_cell + 1],
         *res.g_grid(np.array((br_cell, br_cell + 1)), Xb), cfg.tolerance, MAX_ITERATIONS)
     iterations = np.bincount(br_row, weights=its, minlength=rows).astype(np.int64)
-    keep = np.abs(g_root) <= 1e-3 * g_scale[br_row]
 
     # candidate roots per row, grid zeros first, in scan order
-    cand_row = np.concatenate([zero_row, br_row[keep]])
-    cand_d = np.concatenate([grid[zero_cell], root[keep]])
-    cand_g = np.concatenate([np.zeros(zero_row.size), g_root[keep]])
-    cand_conv = np.concatenate([np.ones(zero_row.size, dtype=bool), br_conv[keep]])
+    cand_row = np.concatenate([zero_row, br_row])
+    cand_d = np.concatenate([grid[zero_cell], root])
+    cand_g = np.concatenate([np.zeros(zero_row.size), g_root])
+    cand_conv = np.concatenate([np.ones(zero_row.size, dtype=bool), br_conv])
     n_roots = np.bincount(cand_row, minlength=rows)
     if n_roots.max(initial=0) > 1:
         multi = np.flatnonzero(n_roots > 1)
@@ -480,8 +471,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     lost = np.flatnonzero(n_roots == 0)
     if lost.size:
         Xl = X[lost]
-        j_lo, j_hi = _cells(_exact_argmin(np.where(finite[lost], np.abs(gv[lost]), np.inf),
-                                          slack[lost],
+        j_lo, j_hi = _cells(_exact_argmin(np.abs(gv[lost]), slack[lost],
                                           lambda r, c: np.abs(res.g_grid(c, Xl[r]))),
                             grid.size)
         d_l, _, evals = _golden(lambda d: np.abs(res.g(d, Xl)), grid[j_lo], grid[j_hi],

@@ -84,6 +84,13 @@ class RssiProfile:
         self._level = 30.0 + 20.0 * np.log10(amp_const)
         self._slope = 5.0 * path_loss_exp
 
+    @property
+    def pole(self):
+        """The largest d at which ``dropped_term_derivative`` is singular,
+        max_i 2 * off_i * cos(theta); at most 0 when it has no singularity
+        at d > 0."""
+        return float(self._two_offs_cos.max())
+
     def dist_sq(self, d):
         """Squared port distances d_i^2 for distances d of shape (M,): (M, N)."""
         dv = d[:, np.newaxis]

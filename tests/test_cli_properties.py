@@ -8,7 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fasloc.cli import main
@@ -33,7 +33,7 @@ BAD = {
 }
 # readings around the benchmark scene's -60 dBm, now and then far from it
 READINGS = st.floats(-70.0, -50.0) | st.floats(-1e300, 1e300)
-BRACKET = st.tuples(st.floats(1e-3, 50.0), st.floats(50.0, 1e4))
+BRACKET = st.tuples(st.floats(1e-3, 50.0) | st.floats(1e-160, 1e-3), st.floats(50.0, 1e4))
 BAD_BRACKET = st.tuples(st.floats(-1e4, 1e4) | NON_FINITE,
                         st.floats(-1e4, 1e4) | NON_FINITE).filter(
     lambda b: not 0.0 < b[0] < b[1] < math.inf)
@@ -77,6 +77,10 @@ def reject_constant(name):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(call=estimate_calls())
+# a weighted-ML scan whose neighbouring g values multiply beyond the float range
+@example(call=("0,1e99,-1e99,5e98,-3e98,2e98\n",
+               ["--n-ports=5", "--aperture=1.0", "--theta=-3.0", "--amp-const=0.01",
+                "--method=mle", "--bracket", "1e-112", "80"], set()))
 def test_estimate_exits_0_2_or_3_with_at_most_one_strict_json_line(call):
     capture, argv, faults = call
     out = io.StringIO()

@@ -92,6 +92,17 @@ def test_degenerate_geometry_rejected():
         mean_profile(lay, scene)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2.0, 2.5, -3.0])
+def test_pole_is_the_largest_singularity_of_the_dropped_term_derivative(theta):
+    lay = FasLayout(8, 0.5, 0.125, spacing="index")
+    profile = RssiProfile(lay, theta, A_DEFAULT)
+    assert profile.pole == pytest.approx(max(2.0 * 7 * 0.0625 * math.cos(theta), 0.0),
+                                         abs=1e-15)
+    if profile.pole > 0.0:
+        with pytest.raises(ValueError, match="singular"):
+            profile.dropped_term_derivative(np.array([profile.pole]))
+
+
 # ---------------------------------------------------------------- mean rssi
 
 def test_mean_rssi_at_reference_amplitude():

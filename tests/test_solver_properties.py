@@ -1,0 +1,126 @@
+"""Properties of the batched solvers on random geometries, readings and
+brackets: every estimate lies inside its bracket, and a weighted-ML row
+whose g changes sign on the scan grid comes back with a root."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fasloc.channel import FasLayout, average_mu_squared
+from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, kappa_constant, solve_ls,
+                               solve_mle)
+from fasloc.forward_model import RssiProfile
+
+EPS = np.finfo(float).eps
+# readings near a plausible link budget, or spread over hundreds of dB
+READINGS = st.floats(-90.0, -30.0) | st.floats(-1000.0, 1000.0)
+
+
+@st.composite
+def solves(draw):
+    """Keyword arguments of one batched solve, without the weight policy."""
+    n_ports = draw(st.integers(1, 16))
+    layout = FasLayout(n_ports, draw(st.floats(0.0, 2.0)),
+                       draw(st.just(0.125) | st.floats(0.01, 1.0)),
+                       draw(st.sampled_from(["endpoint", "index"])))
+    spread = draw(st.booleans())
+    rows = draw(st.lists(st.lists(READINGS if spread else st.floats(-90.0, -30.0),
+                                  min_size=n_ports, max_size=n_ports),
+                         min_size=1, max_size=4))
+    bracket = (draw(st.floats(1e-9, 1e-3) | st.floats(1e-3, 50.0)),
+               draw(st.floats(50.0, 1e4, exclude_min=True)))
+    return {"X": np.array(rows), "layout": layout, "theta": draw(st.floats(-math.pi, math.pi)),
+            "a": draw(st.floats(0.0, 0.99)), "bracket": bracket,
+            "tolerance": draw(st.just(1e-6) | st.floats(1e-9, 1e-2)),
+            "amp_const": draw(st.floats(1e-6, 1e-2)),
+            "path_loss_exp": draw(st.floats(1.5, 6.0))}
+
+
+def g_on(d, X, profile, kap, frozen_b):
+    """g(d) for every row of X at every distance of d: (rows, len(d))."""
+    di_sq = profile.dist_sq(d)
+    if frozen_b is None:
+        derivs = profile.dropped_term_derivative(d)
+        w = derivs - kap * derivs.sum(axis=1, keepdims=True)
+    else:
+        w = frozen_b
+    return (w * (X[:, np.newaxis, :] - profile.rssi(di_sq))).sum(axis=2)
+
+
+# a 12-port capture spread over hundreds of dB, whose sign change near 0.056 m
+# is a root of g that Brent places within the tolerance
+SPREAD_LAYOUT = FasLayout(12, 0.5, 0.125, "index")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=solves(), frozen=st.booleans())
+@example(case={"X": np.array([[-5, 836, 665, -8, -140, 642, 588, -732, -979, -320, -256,
+                               -913]], dtype=float),
+               "layout": SPREAD_LAYOUT, "theta": 2.6849974881243632,
+               "a": average_mu_squared(SPREAD_LAYOUT), "bracket": (0.01, 10000.0),
+               "tolerance": 0.01, "amp_const": 0.00070523, "path_loss_exp": 2.0},
+         frozen=False)
+def test_estimates_lie_in_the_bracket_and_sign_changes_converge(case, frozen):
+    X, layout, theta, a = case["X"], case["layout"], case["theta"], case["a"]
+    lo, hi = case["bracket"]
+    cfg = EstimatorConfig(search_bracket=(lo, hi), tolerance=case["tolerance"],
+                          frozen_weights=frozen)
+    link = (case["amp_const"], case["path_loss_exp"])
+    try:
+        ls = solve_ls(X, layout, theta, cfg, *link)
+    except ValueError:  # the model leaves the reading limit, or meets a port
+        pass
+    else:
+        assert ((lo <= ls.d_hat) & (ls.d_hat <= hi)).all()
+
+    profile = RssiProfile(layout, theta, *link)
+    pole = float(np.max(2.0 * layout.port_offsets_m() * np.cos(theta)))
+    lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
+    try:
+        batch = solve_mle(X, layout, theta, a, cfg, *link)
+    except ValueError:  # also a bracket inside the pole radius
+        return
+    assert ((lo_eff <= batch.d_hat) & (batch.d_hat <= hi)).all()
+
+    kap = kappa_constant(a, layout.n_ports)
+    frozen_b = None
+    if frozen:
+        derivs = profile.dropped_term_derivative(np.array([0.5 * (lo + hi)]))[0]
+        frozen_b = derivs - kap * derivs.sum()
+    gv = g_on(np.geomspace(lo_eff, hi, _SCAN_POINTS), X, profile, kap, frozen_b)
+    change = np.sign(gv[:, :-1]) * np.sign(gv[:, 1:]) < 0.0
+    has_root = (gv == 0.0).any(axis=1) | change.any(axis=1)
+    for k in np.flatnonzero(has_root):
+        d = batch.d_hat[k]
+        assert batch.converged[k]
+        step = cfg.tolerance + 4.0 * EPS * d
+        near = np.clip(d + step * np.array([0.0, -1.0, -0.5, 0.5, 1.0]), lo_eff, hi)
+        g_near = g_on(near, X[k:k + 1], profile, kap, frozen_b)[0]
+        assert g_near[0] == 0.0 or (np.sign(g_near[1:]) * np.sign(g_near[0]) < 0).any()
+
+
+@pytest.mark.parametrize("lo", [1e-160, 1e-112, 1e-50])
+@pytest.mark.parametrize("n_ports", [2, 12, 200])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("theta", [-3.0, 0.4])
+def test_mle_on_extreme_inputs_raises_or_returns_finite_values(lo, n_ports, frozen, theta):
+    layout = FasLayout(n_ports, 1.0, 0.125, "endpoint")
+    cfg = EstimatorConfig(search_bracket=(lo, 80.0), frozen_weights=frozen)
+    alternating = np.where(np.arange(n_ports) % 2, -1e100, 1e100)
+    X = np.stack([np.full(n_ports, 1e100), np.full(n_ports, -1e100), alternating,
+                  np.full(n_ports, -60.0)])
+    a = average_mu_squared(layout)
+    # the batch runs the expanded-sum scan, each row alone the direct one
+    for rows in (X, *X[:, np.newaxis, :]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                batch = solve_mle(rows, layout, theta, a, cfg, 0.01, 2.0)
+            except ValueError:
+                continue
+        assert np.isfinite(batch.d_hat).all()
+        assert np.isfinite(batch.objective_value).all()
