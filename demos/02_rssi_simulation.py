@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from fasloc import (CorrelationModel, FasLayout, Scene, build_covariance,
-                    predicted_rssi, read_measurements, simulate_measurements,
-                    snr_to_sigma2, write_measurements)
-from fasloc.forward_model import RssiProfile
+from fasloc import (CorrelationModel, FasLayout, RssiProfile, Scene, build_covariance,
+                    read_measurements, simulate_measurements, snr_to_sigma2,
+                    write_measurements)
 
 lay = FasLayout(12, 0.5, wavelength=0.125, spacing="index")
 scene = Scene(distance=10.0, bearing=math.pi / 3.0, tx_power_dbm=0.0)
@@ -24,9 +23,10 @@ scene = Scene(distance=10.0, bearing=math.pi / 3.0, tx_power_dbm=0.0)
 print(f"link amplitude constant A = {scene.amp_const(lay.wavelength):.6e}")
 print(f"port span {lay.span_m:.3f} m against range {scene.distance} m\n")
 
-amp = scene.amp_const(lay.wavelength)
-dist = np.sqrt(RssiProfile(lay, scene.bearing, amp).dist_sq(np.array([scene.distance]))[0])
-mean = predicted_rssi(lay, scene.distance, scene.bearing, amp)
+# the link model the estimators invert: bearing, A and the path-loss exponent
+profile = RssiProfile(lay, scene.bearing, scene.amp_const(lay.wavelength), scene.path_loss_exp)
+dist = np.sqrt(profile.dist_sq(np.array([scene.distance]))[0])
+mean = profile.at(scene.distance)
 print("port   distance (m)   mean RSSI (dBm)")
 for i in range(lay.n_ports):
     print(f"{i:4d}   {dist[i]:12.6f}   {mean[i]:12.6f}")

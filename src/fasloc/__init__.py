@@ -14,7 +14,7 @@ from .channel import (CorrelationModel, CovarianceMatrix, FasLayout,
                       lag_correlations, rng_from_seed, sample_fading)
 from .estimators import (EstimatorConfig, kappa_constant, solve_ls, solve_mle,
                          solve_single_antenna)
-from .forward_model import (Scene, predicted_rssi, read_measurements,
+from .forward_model import (RssiProfile, Scene, read_measurements,
                             simulate_measurements, snr_to_sigma2,
                             write_measurements)
 from .specfun import bessel_j0
@@ -25,7 +25,7 @@ __all__ = [
     "rng_from_seed", "sample_fading",
     "EstimatorConfig", "kappa_constant", "solve_ls", "solve_mle",
     "solve_single_antenna",
-    "Scene", "predicted_rssi", "read_measurements",
+    "RssiProfile", "Scene", "read_measurements",
     "simulate_measurements", "snr_to_sigma2", "write_measurements",
     "bessel_j0",
     "__version__",

@@ -14,7 +14,6 @@ error, 3 numerical non-convergence, 4 model-validity error.
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,7 +26,7 @@ from .channel import (SPACING_CONVENTIONS, CorrelationModel, FasLayout, ModelVal
 from .estimators import (EstimatorConfig, _check_rows, kappa_constant, solve_ls, solve_mle,
                          solve_single_antenna)
 from .experiments import ExperimentSpec, fig2_spec, fig3_spec, run_experiment
-from .forward_model import read_measurements
+from .forward_model import RssiProfile, Scene, read_measurements
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,10 +76,10 @@ def _build_parser():
     est.add_argument("--amp-const", type=float, required=True,
                      help="link amplitude constant A of the log-distance model")
     est.add_argument("--method", choices=("mle", "ls", "single"), default="mle")
-    est.add_argument("--path-loss-exp", type=float, default=2.0)
+    est.add_argument("--path-loss-exp", type=float, default=Scene.path_loss_exp)
     est.add_argument("--bracket", type=float, nargs=2, default=(0.01, 10000.0),
                      metavar=("DMIN", "DMAX"))
-    est.add_argument("--tolerance", type=float, default=1e-6)
+    est.add_argument("--tolerance", type=float, default=EstimatorConfig.tolerance)
 
     ins = sub.add_parser("inspect", parents=[layout],
                          help="print layout correlation diagnostics as JSON")
@@ -168,22 +167,20 @@ def _cmd_reproduce(args):
 
 
 def _cmd_estimate(args):
-    if not math.isfinite(args.theta):
-        raise ValueError(f"--theta must be finite, got {args.theta}")
     layout = FasLayout(args.n_ports, args.aperture, args.wavelength, args.spacing)
+    profile = RssiProfile(layout, args.theta, args.amp_const, args.path_loss_exp)
     rows = _check_rows(read_measurements(args.input, layout.n_ports))  # before averaging
     cfg = EstimatorConfig(search_bracket=tuple(args.bracket), tolerance=args.tolerance)
-    link = (args.amp_const, args.path_loss_exp)
     # snapshots are averaged port-wise; a one-port stream is one row of readings
     if args.method == "mle":
-        batch = solve_mle(rows.mean(axis=0, keepdims=True), layout, args.theta,
-                          average_mu_squared(layout), cfg, *link)
+        batch = solve_mle(rows.mean(axis=0, keepdims=True), profile,
+                          average_mu_squared(layout), cfg)
     elif args.method == "ls":
-        batch = solve_ls(rows.mean(axis=0, keepdims=True), layout, args.theta, cfg, *link)
+        batch = solve_ls(rows.mean(axis=0, keepdims=True), profile, cfg)
     else:
         if layout.n_ports != 1:
             raise ValueError("single-antenna estimation requires one-port snapshots")
-        batch = solve_single_antenna(rows.reshape(1, -1), *link)
+        batch = solve_single_antenna(rows.reshape(1, -1), profile)
     result = {f.name: getattr(batch, f.name)[0].item() for f in fields(batch)}
     print(json.dumps(result, sort_keys=True, allow_nan=False))
     return EXIT_OK if result["converged"] else EXIT_NOCONV

@@ -42,16 +42,15 @@ itself gives. Every value that reaches a refinement or a result (the
 function at both cell ends, the least-squares objective at the bracket
 ends) is computed row by row from the residuals themselves, so it does not
 depend on how the table rounds or on which rows share a batch.
-The solvers are the one place that checks their input: the readings, the
-bearing, the link constants and, through the scan, the model they imply.
+Every solver takes the link model it inverts as one ``RssiProfile``, which
+checks the bearing and the link constants when it is built; the solvers
+check the readings and, through the scan, the model on the bracket.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .forward_model import RssiProfile
 
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
@@ -69,7 +68,7 @@ READING_LIMIT_DBM = 1e100
 
 @dataclass
 class EstimatorConfig:
-    search_bracket: tuple = (0.5, 200.0)
+    search_bracket: tuple
     tolerance: float = 1e-6
     frozen_weights: bool = False
 
@@ -338,18 +337,8 @@ def _check_rows(X, n_ports=None):
     return X
 
 
-def _check_scalars(amp_const, path_loss_exp, theta=0.0):
-    """Raise unless the bearing is finite and the link constants positive
-    and finite."""
-    if not math.isfinite(theta):
-        raise ValueError(f"bearing theta must be finite, got {theta}")
-    for name, value in (("amp_const", amp_const), ("path_loss_exp", path_loss_exp)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
-    """Least-squares distance estimates for the rows of X.
+def solve_ls(X, profile, cfg):
+    """Least-squares distance estimates for the rows of X under ``profile``.
 
     The objective sum_i (x_i - M_i(d))^2 is scanned on the geometric grid
     over the bracket; the root of its exact derivative in the two cells
@@ -358,10 +347,8 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
     endpoint beats that minimum the objective was not unimodal on the
     bracket: the interior point is still returned, flagged converged=False.
     """
-    X = _check_rows(X, layout.n_ports)
-    _check_scalars(amp_const, path_loss_exp, theta)
+    X = _check_rows(X, profile.n_ports)
     lo, hi = cfg.search_bracket
-    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     grid = np.geomspace(lo, hi, _SCAN_POINTS)
     res = _Residual(profile, profile.derivative, grid)
     fv, slack = res.scan(X, squared=True)
@@ -385,8 +372,9 @@ def solve_ls(X, layout, theta, cfg, amp_const, path_loss_exp):
                          iterations=iterations, objective_value=f_hat)
 
 
-def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
-    """Correlated-noise weighted estimates for the rows of X: roots of g(d).
+def solve_mle(X, profile, a, cfg):
+    """Correlated-noise weighted estimates for the rows of X under
+    ``profile``: roots of g(d).
 
     The working bracket starts just above ``RssiProfile.pole``, the largest
     pole of the weights, so g is continuous on it and each sign change on
@@ -396,13 +384,11 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     the two cells around the best scan point is returned with
     converged=False.
     """
-    kap = kappa_constant(a, layout.n_ports)
-    X = _check_rows(X, layout.n_ports)
-    _check_scalars(amp_const, path_loss_exp, theta)
+    kap = kappa_constant(a, profile.n_ports)
+    X = _check_rows(X, profile.n_ports)
     rows = X.shape[0]
     lo, hi = cfg.search_bracket
 
-    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
     pole = profile.pole
     lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
     if lo_eff >= hi:
@@ -451,7 +437,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
     if n_roots.max(initial=0) > 1:
         multi = np.flatnonzero(n_roots > 1)
         near = np.zeros(rows)
-        near[multi] = solve_ls(X[multi], layout, theta, cfg, amp_const, path_loss_exp).d_hat
+        near[multi] = solve_ls(X[multi], profile, cfg).d_hat
         # per row, the candidate nearest the anchor; the earliest on a tie
         order = np.lexsort((np.arange(cand_row.size), np.abs(cand_d - near[cand_row]),
                             cand_row))
@@ -483,7 +469,7 @@ def solve_mle(X, layout, theta, a, cfg, amp_const, path_loss_exp):
                          objective_value=objective)
 
 
-def solve_single_antenna(X, amp_const, path_loss_exp):
+def solve_single_antenna(X, profile):
     """Closed-form inversion of the averaged readings of each row of X.
 
     d_hat = A^(2/n) * 10^((30 - mean_rssi) / (10 n)); at n = 2 this is the
@@ -492,11 +478,10 @@ def solve_single_antenna(X, amp_const, path_loss_exp):
     range raises.
     """
     X = _check_rows(X)
-    _check_scalars(amp_const, path_loss_exp)
     x_bar = X.mean(axis=1)
+    amp, n = profile.amp_const, profile.path_loss_exp
     with np.errstate(over="ignore"):
-        d_hat = (np.float64(amp_const) ** (2.0 / path_loss_exp)
-                 * 10.0 ** ((30.0 - x_bar) / (10.0 * path_loss_exp)))
+        d_hat = np.float64(amp) ** (2.0 / n) * 10.0 ** ((30.0 - x_bar) / (10.0 * n))
     if not np.isfinite(d_hat).all():
         raise ValueError("readings and link constants put d_hat beyond the float range")
     residual = np.sum((X - x_bar[:, np.newaxis]) ** 2, axis=1)

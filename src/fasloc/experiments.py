@@ -52,7 +52,7 @@ from . import __version__
 from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
                       average_mu_squared, build_covariance, standard_normal_rows)
 from .estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
-from .forward_model import (SNR_CONVENTION, Scene, predicted_rssi, snr_to_sigma2,
+from .forward_model import (SNR_CONVENTION, RssiProfile, Scene, snr_to_sigma2,
                             warn_near_field)
 
 NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
@@ -184,6 +184,8 @@ class ExperimentSpec:
             raise ValueError("port counts must be positive integers")
         if self.spacing_h is not None and not self.spacing_h > 0.0:
             raise ValueError("spacing_h must be positive")
+        for v in vals:  # every point resolves before any trial runs
+            _resolve_point(self, float(v))
 
     def to_dict(self):
         """Every field as plain JSON values (the scene as a nested dict)."""
@@ -243,8 +245,11 @@ class ResultTable:
             fh.write(self.to_csv_string())
 
     def to_json_string(self):
-        payload = {"meta": self.meta, "rows": [asdict(r) for r in self.rows]}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """Strict JSON: a row that excluded every trial has nmse_db null."""
+        rows = [{**asdict(r), "nmse_db": None if math.isnan(r.nmse_db) else r.nmse_db}
+                for r in self.rows]
+        payload = {"meta": self.meta, "rows": rows}
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -291,15 +296,15 @@ def nmse_db(estimates, d_true):
 class _PointContext:
     """Everything one axis point's trials need; picklable for workers.
 
-    ``factors`` holds the covariance factor of each measurement vector the
-    estimators read (see ``METHODS``), ``means`` its noiseless profile.
+    ``profile`` is the link model the solvers invert, ``factors`` the
+    covariance factor of each measurement vector the estimators read (see
+    ``METHODS``) and ``means`` its noiseless profile.
     """
 
     axis_index: int
     base_seed: int
     estimators: Sequence[str]
-    layout: FasLayout
-    scene: Scene
+    profile: RssiProfile
     factors: dict
     means: dict
     a_coeff: float
@@ -334,14 +339,13 @@ def _make_point_context(spec, axis_index):
     factors, means = {}, {}
     for name, (lay, model) in vectors.items():
         factors[name] = build_covariance(lay, model, sigma2).factor()
-        means[name] = predicted_rssi(lay, scene.distance, scene.bearing,
-                                     scene.amp_const(lay.wavelength), scene.path_loss_exp)
+        means[name] = scene.profile(lay).at(scene.distance)
     independent = spec.correlation_model is CorrelationModel.INDEPENDENT
     a_coeff = 0.0 if independent else average_mu_squared(layout)
     cfg = EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
                           frozen_weights=spec.mle_frozen_weights)
     return _PointContext(axis_index=axis_index, base_seed=spec.base_seed,
-                         estimators=ests, layout=layout, scene=scene, factors=factors,
+                         estimators=ests, profile=scene.profile(layout), factors=factors,
                          means=means, a_coeff=a_coeff, cfg=cfg)
 
 
@@ -359,7 +363,7 @@ def _simulate(ctx, t_lo, t_hi):
     digest hashes its vectors in order, one row of their concatenation.
     """
     z = standard_normal_rows((ctx.base_seed, ctx.axis_index), np.arange(t_lo, t_hi),
-                             ctx.layout.n_ports)
+                             ctx.profile.n_ports)
     rows = {}
     for name, factor in ctx.factors.items():
         k = factor.shape[0]
@@ -369,12 +373,12 @@ def _simulate(ctx, t_lo, t_hi):
     return rows, digests
 
 
-# Solver name -> solve(rows, point context, (amp_const, path_loss_exp)).
-# The single antenna reads the one reading of the group's static draw.
+# Solver name -> solve(rows, point context). The single antenna reads the
+# one reading of the group's static draw.
 _SOLVERS = {
-    "mle": lambda X, c, link: solve_mle(X, c.layout, c.scene.bearing, c.a_coeff, c.cfg, *link),
-    "ls": lambda X, c, link: solve_ls(X, c.layout, c.scene.bearing, c.cfg, *link),
-    "single": lambda X, c, link: solve_single_antenna(X, *link),
+    "mle": lambda X, c: solve_mle(X, c.profile, c.a_coeff, c.cfg),
+    "ls": lambda X, c: solve_ls(X, c.profile, c.cfg),
+    "single": lambda X, c: solve_single_antenna(X, c.profile),
 }
 
 
@@ -383,14 +387,12 @@ def _run_trials(ctx, t_lo, t_hi):
     one axis point. Each solver runs once, over the stacked rows of every
     estimator that uses it (every row is solved on its own)."""
     X, digests = _simulate(ctx, t_lo, t_hi)
-    link = (ctx.scene.amp_const(ctx.layout.wavelength), ctx.scene.path_loss_exp)
     by_solver = {}
     for est in ctx.estimators:
         by_solver.setdefault(METHODS[est][1], []).append(est)
     out = {}
     for solver, ests in by_solver.items():
-        stacked = _SOLVERS[solver](np.concatenate([X[METHODS[est][0]] for est in ests]),
-                                   ctx, link)
+        stacked = _SOLVERS[solver](np.concatenate([X[METHODS[est][0]] for est in ests]), ctx)
         out.update(zip(ests, stacked.split(len(ests))))
     return out, digests
 
@@ -411,7 +413,7 @@ def _reduce_point(spec, axis_value, ctx, parts):
         rows.append(ResultRow(
             axis_value=float(axis_value), estimator=est, nmse_db=value,
             stderr_db=se, trials=trials, excluded=excluded,
-            realized_n=ctx.layout.n_ports,
+            realized_n=ctx.profile.n_ports,
             flagged=excluded > 0.05 * trials,
             draw_digest=point_digest,
         ))
@@ -437,9 +439,9 @@ def run_experiment(spec, workers=1):
             if pool is None:
                 parts = [_run_trials(ctx, 0, trials)]
             else:
-                bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int)
-                args = [(ctx, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-                parts = list(pool.map(_run_trials_star, args))
+                bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
+                parts = list(pool.map(_run_trials, [ctx] * (len(bounds) - 1),
+                                      bounds[:-1], bounds[1:]))
             rows.extend(_reduce_point(spec, axis_value, ctx, parts))
 
     meta = {
@@ -454,10 +456,6 @@ def run_experiment(spec, workers=1):
         "mle_frozen_weights": spec.mle_frozen_weights,
     }
     return ResultTable(sweep_axis=spec.sweep_axis, rows=rows, meta=meta)
-
-
-def _run_trials_star(args):
-    return _run_trials(*args)
 
 
 def doubling_gain(table, estimator):

@@ -68,14 +68,29 @@ class Scene:
         return float(np.sqrt(p_t_watts * wavelength ** 2 * self.gain_tx * self.gain_rx)
                      / (4.0 * np.pi))
 
+    def profile(self, layout):
+        """The scene's link model over the ports of ``layout``."""
+        return RssiProfile(layout, self.bearing, self.amp_const(layout.wavelength),
+                           self.path_loss_exp)
+
 
 class RssiProfile:
     """Noiseless RSSI over the ports of a layout as a function of distance,
-    for one bearing and link. The distance-free terms are computed once, so
-    a solver that evaluates many distances pays only for the rest.
+    for one bearing and link: the model every estimator inverts. The
+    constructor checks that the bearing is finite and the link constants
+    positive and finite. The distance-free terms are computed once, so a
+    solver that evaluates many distances pays only for the rest.
     """
 
-    def __init__(self, layout, theta, amp_const, path_loss_exp=2.0):
+    def __init__(self, layout, theta, amp_const, path_loss_exp):
+        if not math.isfinite(theta):
+            raise ValueError(f"bearing theta must be finite, got {theta}")
+        for name, value in (("amp_const", amp_const), ("path_loss_exp", path_loss_exp)):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        self.n_ports = layout.n_ports
+        self.amp_const = amp_const
+        self.path_loss_exp = path_loss_exp
         offs = layout.port_offsets_m()
         self._offs_sq = offs ** 2
         self._two_offs = 2.0 * offs
@@ -90,6 +105,13 @@ class RssiProfile:
         max_i 2 * off_i * cos(theta); at most 0 when it has no singularity
         at d > 0."""
         return float(self._two_offs_cos.max())
+
+    def at(self, d):
+        """RSSI over all ports at distance d: a scalar d gives shape (N,),
+        an array of shape (M,) gives shape (M, N)."""
+        d = np.asarray(d, dtype=float)
+        rssi = self.rssi(self.dist_sq(d.reshape(-1)))
+        return rssi[0] if d.ndim == 0 else rssi
 
     def dist_sq(self, d):
         """Squared port distances d_i^2 for distances d of shape (M,): (M, N)."""
@@ -124,26 +146,22 @@ class RssiProfile:
         return -(10.0 / _LN10) * (2.0 * dv - self._two_offs_cos) / den
 
 
-def predicted_rssi(layout, d, theta, amp_const, path_loss_exp=2.0):
-    """Noiseless RSSI profile over all ports for a candidate distance d.
-
-    Vectorized over d: a scalar d gives shape (N,), an array of shape (M,)
-    gives shape (M, N).
-    """
-    profile = RssiProfile(layout, theta, amp_const, path_loss_exp)
-    d = np.asarray(d, dtype=float)
-    rssi = profile.rssi(profile.dist_sq(d.reshape(-1)))
-    return rssi[0] if d.ndim == 0 else rssi
-
-
 def snr_to_sigma2(snr_db):
     """Shadow-fading variance (dB^2) for a nominal SNR in dB.
 
     This is a declared convention, not a derived quantity: sigma2 =
     10**(-snr_db/10), i.e. sigma = 1 dB at SNR 0. The convention string
-    (SNR_CONVENTION) is stamped into every result file.
+    (SNR_CONVENTION) is stamped into every result file. An SNR whose
+    variance is not positive and finite raises.
     """
-    return float(10.0 ** (-snr_db / 10.0))
+    try:
+        sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"snr_db {snr_db} gives shadow-fading variance {sigma2}; "
+                         "it must be positive and finite")
+    return sigma2
 
 
 def warn_near_field(layout, scene):
@@ -172,8 +190,7 @@ def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
             f"{layout.n_ports} ports"
         )
     warn_near_field(layout, scene)
-    means = predicted_rssi(layout, scene.distance, scene.bearing,
-                           scene.amp_const(layout.wavelength), scene.path_loss_exp)
+    means = scene.profile(layout).at(scene.distance)
     return means + sample_fading(cov, rng_seed, n_snapshots)
 
 

@@ -28,7 +28,7 @@ from fasloc.estimators import (MAX_ITERATIONS, EstimatorConfig, _SCAN_POINTS, so
 from fasloc.experiments import (ExperimentSpec, default_scene, doubling_gain,
                                 fig2_spec, fig3_spec, find_extrema,
                                 run_experiment)
-from fasloc.forward_model import Scene, predicted_rssi, simulate_measurements
+from fasloc.forward_model import Scene, simulate_measurements
 from fasloc.specfun import bessel_j0
 
 mp.mp.dps = 40
@@ -209,7 +209,7 @@ def test_criterion_6d_mle_degeneration():
                                   (int(rng.integers(0, 2 ** 31)),), 1)
         offsets = lay.port_offsets_m()
         amp = scene.amp_const(lay.wavelength)
-        mine = solve_mle(X, lay, scene.bearing, 0.0, cfg, amp, scene.path_loss_exp)
+        mine = solve_mle(X, scene.profile(lay), 0.0, cfg)
         ct = math.cos(scene.bearing)
 
         def g(d):
@@ -237,14 +237,14 @@ def test_criterion_6e_noiseless_recovery():
     for _ in range(100):
         lay, scene, cfg = _random_far_field_setup(rng)
         a = average_mu_squared(lay)
-        link = (scene.amp_const(lay.wavelength), scene.path_loss_exp)
-        X = predicted_rssi(lay, scene.distance, scene.bearing, *link)[np.newaxis]
-        lay1 = FasLayout(1, 0.0, lay.wavelength, "index")
-        x1 = predicted_rssi(lay1, scene.distance, scene.bearing, *link)
+        profile = scene.profile(lay)
+        X = profile.at(scene.distance)[np.newaxis]
+        profile1 = scene.profile(FasLayout(1, 0.0, lay.wavelength, "index"))
+        x1 = profile1.at(scene.distance)
         errs = [
-            abs(solve_mle(X, lay, scene.bearing, a, cfg, *link).d_hat[0] - scene.distance),
-            abs(solve_ls(X, lay, scene.bearing, cfg, *link).d_hat[0] - scene.distance),
-            abs(solve_single_antenna(np.tile(x1, (1, lay.n_ports)), *link).d_hat[0]
+            abs(solve_mle(X, profile, a, cfg).d_hat[0] - scene.distance),
+            abs(solve_ls(X, profile, cfg).d_hat[0] - scene.distance),
+            abs(solve_single_antenna(np.tile(x1, (1, lay.n_ports)), profile1).d_hat[0]
                 - scene.distance),
         ]
         worst = max(worst, max(errs))

@@ -26,7 +26,7 @@ from fasloc.channel import CorrelationModel, FasLayout, build_covariance
 from fasloc.estimators import (_SCAN_POINTS, MAX_ITERATIONS, EstimatorConfig,
                                kappa_constant, solve_ls, solve_mle)
 from fasloc.experiments import fig2_spec, fig3_spec
-from fasloc.forward_model import RssiProfile, predicted_rssi, simulate_measurements
+from fasloc.forward_model import RssiProfile, simulate_measurements
 
 LS_TOL = 1e-6
 MLE_TOL = 1e-9
@@ -36,9 +36,10 @@ MLE_TOL = 1e-9
 
 def ref_ls(x, layout, theta, cfg, amp, n_exp):
     lo, hi = cfg.search_bracket
+    profile = RssiProfile(layout, theta, amp, n_exp)
 
     def objective(d):
-        r = x - predicted_rssi(layout, d, theta, amp, n_exp)
+        r = x - profile.at(d)
         return float(r @ r)
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
@@ -53,14 +54,15 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
     lo, hi = cfg.search_bracket
     pole = 2.0 * float(np.max(offsets)) * math.cos(theta)
     lo_eff = max(lo, pole * (1.0 + 1e-9) + 1e-12) if pole >= lo else lo
-    deriv = RssiProfile(layout, theta, amp, n_exp).dropped_term_derivative
+    profile = RssiProfile(layout, theta, amp, n_exp)
+    deriv = profile.dropped_term_derivative
     frozen_b = None
     if cfg.frozen_weights:
         derivs = deriv(np.array([0.5 * (lo + hi)]))[0]
         frozen_b = derivs - kap * derivs.sum()
 
     def g_batch(d_values):
-        model = predicted_rssi(layout, d_values, theta, amp, n_exp)
+        model = profile.at(d_values)
         if frozen_b is not None:
             b = frozen_b[np.newaxis, :]
         else:
@@ -231,17 +233,13 @@ def test_batch_results_do_not_depend_on_the_split():
 POINTS = {"fig3_n100": (fig3_spec(spacing_h=0.01, base_seed=3, trials=100), 18, 100),
           "fig2_n12": (fig2_spec(base_seed=3, trials=100), 2, 12)}
 SOLVERS = {
-    "ls": lambda X, c: solve_ls(X, c.layout, c.scene.bearing, c.cfg, *_link(c)),
-    "mle": lambda X, c: solve_mle(X, c.layout, c.scene.bearing, c.a_coeff, c.cfg, *_link(c)),
+    "ls": lambda X, c: solve_ls(X, c.profile, c.cfg),
+    "mle": lambda X, c: solve_mle(X, c.profile, c.a_coeff, c.cfg),
     "mle_frozen": lambda X, c: solve_mle(
-        X, c.layout, c.scene.bearing, c.a_coeff,
-        EstimatorConfig(search_bracket=c.cfg.search_bracket, frozen_weights=True), *_link(c)),
+        X, c.profile, c.a_coeff,
+        EstimatorConfig(search_bracket=c.cfg.search_bracket, frozen_weights=True)),
 }
 FIELDS = ("d_hat", "converged", "iterations", "objective_value")
-
-
-def _link(ctx):
-    return ctx.scene.amp_const(ctx.layout.wavelength), ctx.scene.path_loss_exp
 
 
 def _point(name):
@@ -249,7 +247,7 @@ def _point(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ctx = experiments._make_point_context(spec, axis_index)
-    assert ctx.layout.n_ports == n_ports
+    assert ctx.profile.n_ports == n_ports
     return spec, ctx
 
 
@@ -274,7 +272,7 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
     # rows (a row alone is scanned directly)
     spec, ctx = _point(point)
     X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
-    profile = RssiProfile(ctx.layout, ctx.scene.bearing, *_link(ctx))
+    profile = ctx.profile
     res = estimators._Residual(profile, profile.derivative,
                                np.geomspace(*ctx.cfg.search_bracket, _SCAN_POINTS))
     for squared in (False, True):
@@ -325,7 +323,7 @@ def _direct_scan(self, X, squared=False):
     return table, np.zeros_like(table)
 
 
-def _edge_rows(layout, theta, amp, grid):
+def _edge_rows(profile, grid):
     """Readings whose scan tables sit at the rounding edge: noiseless rows at
     each grid point with one reading nudged by one ulp (g there is about
     1e-14 and the expanded sums often give it the wrong sign, or 0), and
@@ -333,26 +331,26 @@ def _edge_rows(layout, theta, amp, grid):
     ties at the cell ends)."""
     rows = []
     for j in range(1, _SCAN_POINTS - 1):
-        x = predicted_rssi(layout, grid[j], theta, amp)
-        for k in range(layout.n_ports):
+        x = profile.at(grid[j])
+        for k in range(profile.n_ports):
             for toward in (-math.inf, math.inf):
                 y = x.copy()
                 y[k] = np.nextafter(y[k], toward)
                 rows.append(y)
-        rows.append(predicted_rssi(layout, math.sqrt(grid[j] * grid[j + 1]), theta, amp))
+        rows.append(profile.at(math.sqrt(grid[j] * grid[j + 1])))
     return np.array(rows)
 
 
 @pytest.mark.parametrize("n_ports", [1, 3, 12])
 def test_solvers_pick_the_cells_of_the_direct_table(monkeypatch, n_ports):
     lay = FasLayout(n_ports, 0.5, 0.125, spacing="index")
-    theta, amp = 0.3, 3.14557575653044e-4
+    profile = RssiProfile(lay, 0.3, 3.14557575653044e-4, 2.0)
     cfg = EstimatorConfig(search_bracket=(1.0, 400.0))
     frozen = EstimatorConfig(search_bracket=(1.0, 400.0), frozen_weights=True)
-    X = _edge_rows(lay, theta, amp, np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
-    solves = (lambda: solve_ls(X, lay, theta, cfg, amp, 2.0),
-              lambda: solve_mle(X, lay, theta, 0.0, cfg, amp, 2.0),
-              lambda: solve_mle(X, lay, theta, 0.3, frozen, amp, 2.0))
+    X = _edge_rows(profile, np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
+    solves = (lambda: solve_ls(X, profile, cfg),
+              lambda: solve_mle(X, profile, 0.0, cfg),
+              lambda: solve_mle(X, profile, 0.3, frozen))
     own = [solve() for solve in solves]
     monkeypatch.setattr(estimators._Residual, "scan", _direct_scan)
     for got, solve in zip(own, solves):
@@ -376,7 +374,7 @@ def test_multi_root_tie_break_matches_reference(monkeypatch):
         return solve_ls(rows, *args)
 
     monkeypatch.setattr(estimators, "solve_ls", spy)
-    own = solve_mle(X, lay, theta, 0.0, cfg, amp, 2.0)
+    own = solve_mle(X, RssiProfile(lay, theta, amp, 2.0), 0.0, cfg)
     assert anchored and 0 < anchored[0] < X.shape[0]
     ref = np.array([ref_mle(x, lay, theta, 0.0, cfg, amp, 2.0) for x in X])
     np.testing.assert_array_equal(own.converged, ref[:, 1].astype(bool))

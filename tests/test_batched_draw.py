@@ -27,7 +27,7 @@ def ref_simulate(ctx, t_lo, t_hi):
     digests = []
     for t in range(t_lo, t_hi):
         z = rng_from_seed((ctx.base_seed, ctx.axis_index, t)).standard_normal(
-            (1, ctx.layout.n_ports))
+            (1, ctx.profile.n_ports))
         parts = []
         for name, factor in ctx.factors.items():
             x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
@@ -131,10 +131,7 @@ def test_fused_least_squares_equals_separate_solves():
     ctx = point_context(spec, 1)
     got, _ = experiments._run_trials(ctx, 0, 100)
     X, _ = experiments._simulate(ctx, 0, 100)
-    scene = ctx.scene
-    amp = scene.amp_const(ctx.layout.wavelength)
     for est, name in (("fas_ls", "fas"), ("multipoint_ls", "mp")):
-        alone = solve_ls(X[name], ctx.layout, scene.bearing, ctx.cfg, amp,
-                         scene.path_loss_exp)
+        alone = solve_ls(X[name], ctx.profile, ctx.cfg)
         for field in ("d_hat", "converged", "iterations", "objective_value"):
             np.testing.assert_array_equal(getattr(got[est], field), getattr(alone, field))

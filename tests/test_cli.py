@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fasloc import cli
+from fasloc import cli, experiments
 from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
 from fasloc.cli import _read_config, main
 from fasloc.estimators import (READING_LIMIT_DBM, EstimatorConfig, solve_ls, solve_mle,
                                solve_single_antenna)
 from fasloc.experiments import fig2_spec, run_experiment
-from fasloc.forward_model import (Scene, predicted_rssi, read_measurements,
+from fasloc.forward_model import (RssiProfile, Scene, read_measurements,
                                   simulate_measurements, write_measurements)
 
 A_DEFAULT = 3.14557575653044e-4
@@ -60,8 +60,7 @@ def make_noiseless_file(path, n_ports=12, aperture=0.5, d=10.0,
                         theta=math.pi / 3.0, spacing="endpoint"):
     lay = FasLayout(n_ports, aperture, 0.125, spacing)
     scene = Scene(distance=d, bearing=theta)
-    rssi = predicted_rssi(lay, d, theta, scene.amp_const(0.125))
-    write_measurements(path, rssi[np.newaxis])
+    write_measurements(path, scene.profile(lay).at(d)[np.newaxis])
 
 
 # ---------------------------------------------------------------- reproduce
@@ -303,6 +302,51 @@ def test_reproduce_config_rejects_a_field_its_axis_does_not_read_with_exit_2(
     assert f"does not read {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"sweep_axis": "snr_db", "axis_values": [-4000.0, 0.0, 10.0],
+     "layout": {"n_ports": 12, "aperture": 0.5}},
+    {"sweep_axis": "aperture_w", "axis_values": [0.5, 1.0], "snr_db": -4000.0,
+     "spacing_h": 0.05},
+    {"sweep_axis": "snr_db", "axis_values": [0.0, 10.0, 4000.0],
+     "layout": {"n_ports": 12, "aperture": 0.5}},
+], ids=["axis_value_overflows", "fixed_snr_overflows", "last_axis_value_underflows"])
+def test_reproduce_rejects_an_snr_without_a_finite_variance_before_any_trial(
+        tmp_path, capsys, monkeypatch, cfg):
+    runs = []
+    real = experiments._run_trials
+    monkeypatch.setattr(experiments, "_run_trials", lambda *a: runs.append(a) or real(*a))
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"trials": 100, "estimators": ["fas_ls"], **cfg}))
+    assert run_cli("reproduce", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    assert runs == []
+    assert "snr_db" in capsys.readouterr().err
+
+
+def test_json_twin_writes_null_for_a_row_that_excluded_every_trial(tmp_path):
+    # weighted ML excludes every trial where the weight pole reaches the scene
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "sweep_axis": "aperture_w", "axis_values": [1.0, 1.1, 1.2], "trials": 100,
+        "estimators": ["fas_mle", "fas_ls"], "snr_db": 10.0, "spacing_h": 0.01,
+        "layout": {"spacing": "index"}}))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # far field
+        assert run_cli("reproduce", "--config", str(cfg_path), "--out", str(out),
+                       "--json") == 0
+
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    rows = json.loads(out.with_suffix(".json").read_text(), parse_constant=reject)["rows"]
+    excluded = [r for r in rows if r["excluded"] == r["trials"]]
+    assert excluded
+    assert all((r["nmse_db"] is None) == (r in excluded) for r in rows)
+    assert out.read_text().count(",nan,") == len(excluded)
+
+
 # ---------------------------------------------------------------- estimate
 
 @pytest.mark.parametrize("method", ["mle", "ls"])
@@ -352,21 +396,23 @@ def test_estimate_non_convergence_exits_3_with_payload(tmp_path, capsys):
     assert "d_hat" in payload
 
 
-@pytest.mark.parametrize("case", ["nan_reading", "nan_theta", "negative_amp_const",
-                                  "infinite_bracket"])
+@pytest.mark.parametrize("case", ["nan_reading", "nan_theta", "nan_theta_single",
+                                  "negative_amp_const", "infinite_bracket"])
 def test_estimate_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     path = tmp_path / "caps.txt"
-    make_noiseless_file(path)
+    # the single-antenna method reads no bearing, but the link model checks it
+    n_ports, method = (1, "single") if case == "nan_theta_single" else (12, "mle")
+    make_noiseless_file(path, n_ports=n_ports)
     if case == "nan_reading":
         fields = path.read_text().strip().split(",")
         fields[3] = "nan"
         path.write_text(",".join(fields) + "\n")
-    theta = "nan" if case == "nan_theta" else str(math.pi / 3.0)
+    theta = "nan" if case.startswith("nan_theta") else str(math.pi / 3.0)
     amp = "-3e-4" if case == "negative_amp_const" else str(A_DEFAULT)
     bracket = ["--bracket", "0.5", "inf"] if case == "infinite_bracket" else []
     assert run_cli("estimate", "--input", str(path), "--theta", theta,
-                   "--n-ports", "12", "--aperture", "0.5", f"--amp-const={amp}",
-                   *bracket) == 2
+                   "--n-ports", str(n_ports), "--aperture", "0.5", f"--amp-const={amp}",
+                   "--method", method, *bracket) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error" in captured.err
@@ -461,20 +507,19 @@ def test_estimate_equals_the_solver_on_the_port_wise_mean(tmp_path, capsys, meth
     rc, path = estimate_capture(tmp_path, method)
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    layout = FasLayout(12, 0.5, 0.125, "index")
+    layout = FasLayout(1 if method == "single" else 12, 0.5, 0.125, "index")
     cfg = EstimatorConfig(search_bracket=(0.01, 10000.0), tolerance=1e-6)
-    link = (A_DEFAULT, 2.0)
+    profile = RssiProfile(layout, math.pi / 3.0, A_DEFAULT, 2.0)
     if method == "single":
-        batch = solve_single_antenna(read_measurements(path, 1).reshape(1, -1), *link)
+        batch = solve_single_antenna(read_measurements(path, 1).reshape(1, -1), profile)
     else:
         rows = read_measurements(path, 12)
         assert rows.shape == (3, 12)
         mean = rows.mean(axis=0, keepdims=True)
         if method == "mle":
-            batch = solve_mle(mean, layout, math.pi / 3.0, average_mu_squared(layout),
-                              cfg, *link)
+            batch = solve_mle(mean, profile, average_mu_squared(layout), cfg)
         else:
-            batch = solve_ls(mean, layout, math.pi / 3.0, cfg, *link)
+            batch = solve_ls(mean, profile, cfg)
     assert payload == {"d_hat": float(batch.d_hat[0]), "converged": bool(batch.converged[0]),
                        "iterations": int(batch.iterations[0]),
                        "objective_value": float(batch.objective_value[0])}

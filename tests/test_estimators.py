@@ -10,8 +10,7 @@ from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
                             build_covariance)
 from fasloc.estimators import (MAX_ITERATIONS, EstimatorConfig, _SCAN_POINTS,
                                kappa_constant, solve_ls, solve_mle, solve_single_antenna)
-from fasloc.forward_model import (RssiProfile, Scene, predicted_rssi,
-                                  simulate_measurements)
+from fasloc.forward_model import RssiProfile, Scene, simulate_measurements
 
 LN10 = math.log(10.0)
 
@@ -22,25 +21,27 @@ def scene_at(d=10.0, theta=math.pi / 3.0, **kw):
 
 def noiseless_rows(layout, scene):
     """The noiseless readings of the scene as a batch of one row."""
-    rssi = predicted_rssi(layout, scene.distance, scene.bearing,
-                          scene.amp_const(layout.wavelength), scene.path_loss_exp)
-    return rssi[np.newaxis]
+    return scene.profile(layout).at(scene.distance)[np.newaxis]
 
 
 def mle(X, layout, scene, a, cfg):
-    return solve_mle(X, layout, scene.bearing, a, cfg,
-                     scene.amp_const(layout.wavelength), scene.path_loss_exp)
+    return solve_mle(X, scene.profile(layout), a, cfg)
 
 
 def ls(X, layout, scene, cfg, amp_const=None):
     if amp_const is None:
         amp_const = scene.amp_const(layout.wavelength)
-    return solve_ls(X, layout, scene.bearing, cfg, amp_const, scene.path_loss_exp)
+    return solve_ls(X, RssiProfile(layout, scene.bearing, amp_const, scene.path_loss_exp), cfg)
+
+
+def one_port(amp_const, path_loss_exp=2.0):
+    """The link model of a lone antenna, as the single-antenna solver takes it."""
+    return RssiProfile(FasLayout(1, 0.0, 0.125), 0.0, amp_const, path_loss_exp)
 
 
 def weight_derivs(layout, d, theta):
     """The ML weights' dropped-term dM_i/dd over all ports at one distance."""
-    return RssiProfile(layout, theta, 1.0).dropped_term_derivative(np.array([d]))[0]
+    return RssiProfile(layout, theta, 1.0, 2.0).dropped_term_derivative(np.array([d]))[0]
 
 
 def weights(layout, a, d, theta):
@@ -51,8 +52,7 @@ def weights(layout, a, d, theta):
 
 
 def mean_at(layout, scene, i):
-    return predicted_rssi(layout, scene.distance, scene.bearing,
-                          scene.amp_const(layout.wavelength), scene.path_loss_exp)[i]
+    return scene.profile(layout).at(scene.distance)[i]
 
 
 def cfg_for(scene, **kw):
@@ -68,7 +68,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(search_bracket=(-1.0, 5.0))
     with pytest.raises(ValueError):
-        EstimatorConfig(tolerance=0.0)
+        EstimatorConfig(search_bracket=(0.5, 200.0), tolerance=0.0)
+    with pytest.raises(TypeError):
+        EstimatorConfig()  # the bracket has no default
 
 
 # ---------------------------------------------------------------- derivative
@@ -219,11 +221,10 @@ def test_mle_root_is_locally_stationary():
     cfg = cfg_for(scene)
     X = simulate_measurements(lay, scene, cov, (5, 5), 1)
     d_hat = mle(X, lay, scene, a, cfg).d_hat[0]
-    amp = scene.amp_const(lay.wavelength)
 
     def g(d):
         b, _ = weights(lay, a, d, scene.bearing)
-        model = predicted_rssi(lay, d, scene.bearing, amp)
+        model = scene.profile(lay).at(d)
         return float(b @ (X[0] - model))
 
     assert abs(g(d_hat)) <= abs(g(d_hat - 10 * cfg.tolerance))
@@ -236,8 +237,7 @@ def test_weighted_sum_identity_on_noiseless_data():
     a = average_mu_squared(lay)
     x = noiseless_rows(lay, scene)[0]
     b, _ = weights(lay, a, scene.distance, scene.bearing)
-    model = predicted_rssi(lay, scene.distance, scene.bearing,
-                           scene.amp_const(lay.wavelength))
+    model = scene.profile(lay).at(scene.distance)
     assert b @ x == pytest.approx(b @ model, abs=1e-9)
 
 
@@ -321,37 +321,36 @@ def test_ls_converges_on_noiseless_readings_at_a_bracket_end(n_ports, end):
     lay = FasLayout(n_ports, 0.5, 0.125, spacing="index")
     amp = 3.14557575653044e-4
     ends = (2.0, 80.0)
-    X = np.array([predicted_rssi(lay, ends[end], 1.0, amp),
-                  predicted_rssi(lay, ends[end - 1], 1.0, amp)])
-    est = solve_ls(X, lay, 1.0, EstimatorConfig(search_bracket=ends), amp, 2.0)
+    profile = RssiProfile(lay, 1.0, amp, 2.0)
+    X = np.array([profile.at(ends[end]), profile.at(ends[end - 1])])
+    est = solve_ls(X, profile, EstimatorConfig(search_bracket=ends))
     for k, d_end in enumerate((ends[end], ends[end - 1])):
         assert (est.d_hat[k], est.converged[k], est.objective_value[k]) == (d_end, True, 0.0)
 
 
-def test_estimators_need_link_constants_for_external_data():
+def test_link_model_rejects_bad_link_constants_and_bearing():
     lay = FasLayout(3, 0.5, 0.125)
+    bad = [(1.0, amp, n_exp, field) for amp, n_exp, field in (
+        (0.0, 2.0, "amp_const"), (-3e-4, 2.0, "amp_const"), (math.inf, 2.0, "amp_const"),
+        (3e-4, 0.0, "path_loss_exp"), (3e-4, math.nan, "path_loss_exp"))]
+    bad += [(theta, 3e-4, 2.0, "theta") for theta in (math.nan, math.inf, -math.inf)]
+    for theta, amp, n_exp, field in bad:
+        with pytest.raises(ValueError, match=field):
+            RssiProfile(lay, theta, amp, n_exp)
     X = np.array([[-60.0, -60.1, -59.9]])
     cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
-    for amp, n_exp in ((0.0, 2.0), (-3e-4, 2.0), (math.inf, 2.0), (3e-4, 0.0),
-                       (3e-4, math.nan)):
-        with pytest.raises(ValueError):
-            solve_ls(X, lay, 1.0, cfg, amp, n_exp)
-        with pytest.raises(ValueError):
-            solve_mle(X, lay, 1.0, 0.0, cfg, amp, n_exp)
-        with pytest.raises(ValueError):
-            solve_single_antenna(X, amp, n_exp)
-    est = solve_ls(X, lay, 1.0, cfg, 3.14557575653044e-4, 2.0)
+    est = solve_ls(X, RssiProfile(lay, 1.0, 3.14557575653044e-4, 2.0), cfg)
     assert est.d_hat[0] > 0.0
 
 
 def test_solvers_take_array_scalar_bracket_ends():
     lay = FasLayout(3, 0.5, 0.125)
     X = np.array([[-60.0, -60.1, -59.9], [-55.0, -55.2, -54.9]])
-    amp = 3.14557575653044e-4
+    profile = RssiProfile(lay, 1.0, 3.14557575653044e-4, 2.0)
     plain = EstimatorConfig(search_bracket=(0.1, 1000.0))
     arrays = EstimatorConfig(search_bracket=(np.array(0.1), np.array(1000.0)))
-    for solve in (lambda cfg: solve_ls(X, lay, 1.0, cfg, amp, 2.0),
-                  lambda cfg: solve_mle(X, lay, 1.0, 0.3, cfg, amp, 2.0)):
+    for solve in (lambda cfg: solve_ls(X, profile, cfg),
+                  lambda cfg: solve_mle(X, profile, 0.3, cfg)):
         want, got = solve(plain), solve(arrays)
         for field in ("d_hat", "converged", "iterations", "objective_value"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
@@ -364,9 +363,9 @@ def test_solvers_reject_a_model_beyond_the_reading_limit():
     X = np.array([[-60.0, -60.1, -59.9]])
     cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
     frozen = EstimatorConfig(search_bracket=(0.1, 1000.0), frozen_weights=True)
-    solvers = (lambda n: solve_ls(X, lay, 1.0, cfg, 3e-4, n),
-               lambda n: solve_mle(X, lay, 1.0, 0.0, cfg, 3e-4, n),
-               lambda n: solve_mle(X, lay, 1.0, 0.3, frozen, 3e-4, n))
+    solvers = (lambda n: solve_ls(X, RssiProfile(lay, 1.0, 3e-4, n), cfg),
+               lambda n: solve_mle(X, RssiProfile(lay, 1.0, 3e-4, n), 0.0, cfg),
+               lambda n: solve_mle(X, RssiProfile(lay, 1.0, 3e-4, n), 0.3, frozen))
     for solve in solvers:
         for n_exp in (1e99, 1e300, 1.7e308):
             with pytest.raises(ValueError, match="path_loss_exp and amp_const"):
@@ -378,17 +377,18 @@ def test_solvers_reject_a_width_other_than_the_layout():
     lay = FasLayout(3, 0.5, 0.125)
     X = np.full((2, 4), -60.0)
     cfg = EstimatorConfig(search_bracket=(0.1, 1000.0))
+    profile = RssiProfile(lay, 1.0, 3e-4, 2.0)
     with pytest.raises(ValueError, match="4 ports, layout has 3"):
-        solve_ls(X, lay, 1.0, cfg, 3e-4, 2.0)
+        solve_ls(X, profile, cfg)
     with pytest.raises(ValueError, match="4 ports, layout has 3"):
-        solve_mle(X, lay, 1.0, 0.0, cfg, 3e-4, 2.0)
+        solve_mle(X, profile, 0.0, cfg)
 
 
 # ---------------------------------------------------------------- single antenna
 
 def test_single_antenna_inversion_anchor():
     amp = 3.14557575653044e-4
-    est = solve_single_antenna(np.full((1, 12), 30.0), amp, 2.0)
+    est = solve_single_antenna(np.full((1, 12), 30.0), one_port(amp))
     assert est.d_hat[0] == pytest.approx(amp, rel=1e-12)
     assert est.converged[0]
 
@@ -397,14 +397,14 @@ def test_single_antenna_noiseless_recovery():
     lay = FasLayout(1, 0.0, 0.125, spacing="index")
     scene = scene_at()
     X = np.repeat(noiseless_rows(lay, scene), 12, axis=1)
-    est = solve_single_antenna(X, scene.amp_const(lay.wavelength), scene.path_loss_exp)
+    est = solve_single_antenna(X, scene.profile(lay))
     assert est.d_hat[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_single_antenna_input_validation():
     for shape in ((0, 12), (1, 0), (12,)):
         with pytest.raises(ValueError):
-            solve_single_antenna(np.zeros(shape), 3e-4, 2.0)
+            solve_single_antenna(np.zeros(shape), one_port(3e-4))
 
 
 # ---------------------------------------------------------------- consistency

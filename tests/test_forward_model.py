@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
-from fasloc.forward_model import (RssiProfile, Scene,
-                                  predicted_rssi, read_measurements,
+from fasloc.forward_model import (RssiProfile, Scene, read_measurements,
                                   simulate_measurements, snr_to_sigma2,
                                   write_measurements)
 
@@ -26,15 +25,12 @@ def default_scene(**kw):
 
 def port_distances(lay, scene):
     """Distance from each port to the transmitter, from RssiProfile.dist_sq."""
-    profile = RssiProfile(lay, scene.bearing, scene.amp_const(lay.wavelength),
-                          scene.path_loss_exp)
-    return np.sqrt(profile.dist_sq(np.array([scene.distance]))[0])
+    return np.sqrt(scene.profile(lay).dist_sq(np.array([scene.distance]))[0])
 
 
 def mean_profile(lay, scene):
     """Noiseless mean RSSI at each port of the layout."""
-    return predicted_rssi(lay, scene.distance, scene.bearing,
-                          scene.amp_const(lay.wavelength), scene.path_loss_exp)
+    return scene.profile(lay).at(scene.distance)
 
 
 # ---------------------------------------------------------------- scene
@@ -95,7 +91,7 @@ def test_degenerate_geometry_rejected():
 @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2.0, 2.5, -3.0])
 def test_pole_is_the_largest_singularity_of_the_dropped_term_derivative(theta):
     lay = FasLayout(8, 0.5, 0.125, spacing="index")
-    profile = RssiProfile(lay, theta, A_DEFAULT)
+    profile = RssiProfile(lay, theta, A_DEFAULT, 2.0)
     assert profile.pole == pytest.approx(max(2.0 * 7 * 0.0625 * math.cos(theta), 0.0),
                                          abs=1e-15)
     if profile.pole > 0.0:
@@ -151,14 +147,12 @@ def test_path_loss_two_matches_explicit_log_ratio_form():
             30.0 - 20.0 * math.log10(d_i / a), abs=1e-9)
 
 
-def test_predicted_rssi_vectorizes_over_distance():
+def test_profile_vectorizes_over_distance():
     lay = FasLayout(4, 0.5, 0.125)
-    scene = default_scene()
-    a = scene.amp_const(lay.wavelength)
-    grid = np.array([5.0, 10.0, 20.0])
-    block = predicted_rssi(lay, grid, scene.bearing, a)
+    profile = default_scene().profile(lay)
+    block = profile.at(np.array([5.0, 10.0, 20.0]))
     assert block.shape == (3, 4)
-    single = predicted_rssi(lay, 10.0, scene.bearing, a)
+    single = profile.at(10.0)
     np.testing.assert_array_equal(block[1], single)
 
 
@@ -168,6 +162,12 @@ def test_snr_convention_anchors():
     assert snr_to_sigma2(0.0) == 1.0
     assert snr_to_sigma2(10.0) == pytest.approx(0.1, rel=1e-12)
     assert snr_to_sigma2(20.0) == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0, -10 ** 400, math.nan])
+def test_snr_without_a_positive_finite_variance_raises(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        snr_to_sigma2(snr_db)
 
 
 # ---------------------------------------------------------------- simulation

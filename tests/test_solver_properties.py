@@ -69,19 +69,18 @@ def test_estimates_lie_in_the_bracket_and_sign_changes_converge(case, frozen):
     lo, hi = case["bracket"]
     cfg = EstimatorConfig(search_bracket=(lo, hi), tolerance=case["tolerance"],
                           frozen_weights=frozen)
-    link = (case["amp_const"], case["path_loss_exp"])
+    profile = RssiProfile(layout, theta, case["amp_const"], case["path_loss_exp"])
     try:
-        ls = solve_ls(X, layout, theta, cfg, *link)
+        ls = solve_ls(X, profile, cfg)
     except ValueError:  # the model leaves the reading limit, or meets a port
         pass
     else:
         assert ((lo <= ls.d_hat) & (ls.d_hat <= hi)).all()
 
-    profile = RssiProfile(layout, theta, *link)
     pole = float(np.max(2.0 * layout.port_offsets_m() * np.cos(theta)))
     lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
     try:
-        batch = solve_mle(X, layout, theta, a, cfg, *link)
+        batch = solve_mle(X, profile, a, cfg)
     except ValueError:  # also a bracket inside the pole radius
         return
     assert ((lo_eff <= batch.d_hat) & (batch.d_hat <= hi)).all()
@@ -119,7 +118,7 @@ def test_mle_on_extreme_inputs_raises_or_returns_finite_values(lo, n_ports, froz
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                batch = solve_mle(rows, layout, theta, a, cfg, 0.01, 2.0)
+                batch = solve_mle(rows, RssiProfile(layout, theta, 0.01, 2.0), a, cfg)
             except ValueError:
                 continue
         assert np.isfinite(batch.d_hat).all()
