@@ -93,8 +93,9 @@ class EstimateBatch:
     def split(self, parts):
         """The batch cut into ``parts`` equal blocks of consecutive rows."""
         columns = (self.d_hat, self.converged, self.iterations, self.objective_value)
-        return [EstimateBatch(*block)
-                for block in zip(*(np.split(c, parts) for c in columns))]
+        size = len(self.d_hat) // parts
+        return [EstimateBatch(*(c[i * size:(i + 1) * size] for c in columns))
+                for i in range(parts)]
 
 
 def kappa_constant(a, n_ports):

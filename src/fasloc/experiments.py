@@ -17,10 +17,10 @@ channel.sample_fading), and both fluid-antenna estimators receive literally
 the same row. A digest of the trial's simulated vectors is recorded so
 reproducibility is checkable from the output alone.
 
-The estimators run once per axis point over all of its trials (see
-estimators: every row is solved on its own, so chunking trials across
-workers changes no bit, and the estimators that share a solver share one
-solve over their stacked rows).
+Axis points with equal layouts form one solve group: an SNR sweep is one.
+A solver runs over the stacked rows of all of a group's points and of its
+estimators, in blocks of at most _BLOCK_READINGS readings (see estimators:
+every row is solved on its own, so blocks and worker chunks change no bit).
 
 Baselines in a trial:
 
@@ -41,6 +41,7 @@ Baselines in a trial:
 import hashlib
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -51,9 +52,8 @@ import numpy as np
 from . import __version__
 from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
                       average_mu_squared, build_covariance, standard_normal_rows)
-from .estimators import EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
-from .forward_model import (SNR_CONVENTION, RssiProfile, Scene, snr_to_sigma2,
-                            warn_near_field)
+from .estimators import EstimateBatch, EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
+from .forward_model import FAR_FIELD_RATIO, SNR_CONVENTION, RssiProfile, Scene, snr_to_sigma2
 
 NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
                    "stderr: leave-one-out jackknife in dB")
@@ -156,14 +156,14 @@ class ExperimentSpec:
         if self.sweep_axis not in AXES:
             raise ValueError(f"sweep_axis must be one of {tuple(AXES)}, got {self.sweep_axis!r}")
         swept, reads = AXES[self.sweep_axis]
-        vals = [_check_real("axis_values", v) for v in self.axis_values]
+        vals = [_check_finite("axis_values", v) for v in self.axis_values]
         _check_real("wavelength", self.wavelength)
         for name in POINT_FIELDS:
             if (getattr(self, name) is None) == (name in reads):
                 verb = "needs" if name in reads else "does not read"
                 raise ValueError(f"sweep_axis {self.sweep_axis!r} {verb} {name}")
             if name in reads:
-                _check_real(name, getattr(self, name))
+                _check_finite(name, getattr(self, name))
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis_values must be non-empty and strictly increasing")
         if not _is_integer(self.trials) or self.trials < 100:
@@ -260,6 +260,12 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_finite(name, value):
+    if not (_is_integer(_check_real(name, value)) or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _csv_cell(kind, value):
     if kind is float:
         return f"{value:.9g}"
@@ -293,22 +299,20 @@ def nmse_db(estimates, d_true):
 
 
 @dataclass
-class _PointContext:
-    """Everything one axis point's trials need; picklable for workers.
+class _GroupContext:
+    """Everything a solve group's trials need; picklable for workers. The
+    group's axis points have equal layouts, so one ``profile`` (the link model
+    the solvers invert) and one ``means`` (the noiseless profile of each vector
+    the estimators read, see ``METHODS``) serve all of them. ``points`` holds
+    each point's axis index and covariance factor of each vector."""
 
-    ``profile`` is the link model the solvers invert, ``factors`` the
-    covariance factor of each measurement vector the estimators read (see
-    ``METHODS``) and ``means`` its noiseless profile.
-    """
-
-    axis_index: int
     base_seed: int
     estimators: Sequence[str]
     profile: RssiProfile
-    factors: dict
     means: dict
     a_coeff: float
     cfg: EstimatorConfig
+    points: list
 
 
 def _resolve_point(spec, axis_value):
@@ -317,40 +321,54 @@ def _resolve_point(spec, axis_value):
     point = {name: getattr(spec, name) for name in POINT_FIELDS}
     point[AXES[spec.sweep_axis][0]] = axis_value
     if point["spacing_h"] is not None:  # a fixed pitch sets the port count
-        point["n_ports"] = max(2, int(round(point["aperture"] / point["spacing_h"])))
+        ratio = point["aperture"] / point["spacing_h"]
+        point["n_ports"] = max(2, int(round(_check_finite("aperture / spacing_h", ratio))))
     layout = FasLayout(point["n_ports"], point["aperture"], spec.wavelength, spec.spacing)
     return layout, snr_to_sigma2(point["snr_db"])
 
 
-def _make_point_context(spec, axis_index):
-    layout, sigma2 = _resolve_point(spec, float(list(spec.axis_values)[axis_index]))
+def _group_contexts(spec):
+    """One context per solve group, in axis order; at most one far-field
+    warning lists every axis value that simulates a port sweep too close."""
+    groups = {}
+    for axis_index, axis_value in enumerate(spec.axis_values):
+        layout, sigma2 = _resolve_point(spec, float(axis_value))
+        groups.setdefault(layout, []).append((axis_index, sigma2))
     ests = list(spec.estimators)
     scene = spec.scene
-    # layout and correlation model of every vector a trial can simulate, in
-    # the order the draw digest hashes them; only those the estimators read
-    vectors = {"fas": (layout, spec.correlation_model),
-               "mp": (layout, CorrelationModel.INDEPENDENT),
-               "one": (FasLayout(1, 0.0, spec.wavelength, "endpoint"),
-                       CorrelationModel.INDEPENDENT)}
     read = {METHODS[est][0] for est in ests}
-    vectors = {name: v for name, v in vectors.items() if name in read}
-    if any(lay is layout for lay, _ in vectors.values()):  # a port sweep is simulated
-        warn_near_field(layout, scene)
-    factors, means = {}, {}
-    for name, (lay, model) in vectors.items():
-        factors[name] = build_covariance(lay, model, sigma2).factor()
-        means[name] = scene.profile(lay).at(scene.distance)
-    independent = spec.correlation_model is CorrelationModel.INDEPENDENT
-    a_coeff = 0.0 if independent else average_mu_squared(layout)
-    cfg = EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
-                          frozen_weights=spec.mle_frozen_weights)
-    return _PointContext(axis_index=axis_index, base_seed=spec.base_seed,
-                         estimators=ests, profile=scene.profile(layout), factors=factors,
-                         means=means, a_coeff=a_coeff, cfg=cfg)
+    near, ctxs = [], []
+    for layout, members in groups.items():
+        # layout and correlation model of every vector a trial can simulate, in
+        # the order the draw digest hashes them; only those the estimators read
+        vectors = {"fas": (layout, spec.correlation_model),
+                   "mp": (layout, CorrelationModel.INDEPENDENT),
+                   "one": (FasLayout(1, 0.0, spec.wavelength, "endpoint"),
+                           CorrelationModel.INDEPENDENT)}
+        vectors = {name: v for name, v in vectors.items() if name in read}
+        if read - {"one"} and scene.distance < FAR_FIELD_RATIO * layout.span_m:
+            near += [float(spec.axis_values[i]) for i, _ in members]
+        means = {name: scene.profile(lay).at(scene.distance)
+                 for name, (lay, _) in vectors.items()}
+        points = [(axis_index, {name: build_covariance(lay, model, sigma2).factor()
+                                for name, (lay, model) in vectors.items()})
+                  for axis_index, sigma2 in members]
+        independent = spec.correlation_model is CorrelationModel.INDEPENDENT
+        ctxs.append(_GroupContext(
+            base_seed=spec.base_seed, estimators=ests, profile=scene.profile(layout),
+            means=means, a_coeff=0.0 if independent else average_mu_squared(layout),
+            cfg=EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
+                                frozen_weights=spec.mle_frozen_weights),
+            points=points))
+    if near:
+        warnings.warn(f"transmitter distance {scene.distance:.3g} m is less than "
+                      f"{FAR_FIELD_RATIO:.0f}x the port span at {spec.sweep_axis} = {near}; "
+                      "the equal-mean-power approximation degrades", stacklevel=3)
+    return ctxs
 
 
-def _simulate(ctx, t_lo, t_hi):
-    """Measurement rows of trials [t_lo, t_hi) and their draw digests.
+def _simulate(ctx, axis_index, factors, t_lo, t_hi):
+    """Measurement rows of trials [t_lo, t_hi) of one point and their digests.
 
     Each trial's normals are one row of an (n_trials, N) block drawn in one
     pass: the trial keys come from channel.philox_keys and one re-keyed
@@ -362,10 +380,10 @@ def _simulate(ctx, t_lo, t_hi):
     bits as channel.sample_fading's (1, k) @ (k, k) per trial. A trial's
     digest hashes its vectors in order, one row of their concatenation.
     """
-    z = standard_normal_rows((ctx.base_seed, ctx.axis_index), np.arange(t_lo, t_hi),
+    z = standard_normal_rows((ctx.base_seed, axis_index), np.arange(t_lo, t_hi),
                              ctx.profile.n_ports)
     rows = {}
-    for name, factor in ctx.factors.items():
+    for name, factor in factors.items():
         k = factor.shape[0]
         rows[name] = ctx.means[name] + (z[:, np.newaxis, :k] @ factor.T)[:, 0, :]
     joined = np.concatenate(list(rows.values()), axis=1)
@@ -373,7 +391,7 @@ def _simulate(ctx, t_lo, t_hi):
     return rows, digests
 
 
-# Solver name -> solve(rows, point context). The single antenna reads the
+# Solver name -> solve(rows, group context). The single antenna reads the
 # one reading of the group's static draw.
 _SOLVERS = {
     "mle": lambda X, c: solve_mle(X, c.profile, c.a_coeff, c.cfg),
@@ -381,20 +399,29 @@ _SOLVERS = {
     "single": lambda X, c: solve_single_antenna(X, c.profile),
 }
 
+# Most readings (rows x ports) per solver call: small calls pay per-call
+# overhead, and whole groups ran slower in three times the memory.
+_BLOCK_READINGS = 2 ** 16
+
 
 def _run_trials(ctx, t_lo, t_hi):
-    """{estimator: EstimateBatch} and draw digests of trials [t_lo, t_hi) of
-    one axis point. Each solver runs once, over the stacked rows of every
-    estimator that uses it (every row is solved on its own)."""
-    X, digests = _simulate(ctx, t_lo, t_hi)
+    """Per point, {estimator: EstimateBatch} and digests of trials [t_lo, t_hi).
+    Each solver runs on the stacked rows of every point and estimator using it,
+    in blocks of at most _BLOCK_READINGS readings (each row is solved alone)."""
+    sims = [_simulate(ctx, *point, t_lo, t_hi) for point in ctx.points]
     by_solver = {}
     for est in ctx.estimators:
         by_solver.setdefault(METHODS[est][1], []).append(est)
-    out = {}
+    out = [{} for _ in sims]
     for solver, ests in by_solver.items():
-        stacked = _SOLVERS[solver](np.concatenate([X[METHODS[est][0]] for est in ests]), ctx)
-        out.update(zip(ests, stacked.split(len(ests))))
-    return out, digests
+        X = np.concatenate([rows[METHODS[est][0]] for rows, _ in sims for est in ests])
+        step = max(1, _BLOCK_READINGS // X.shape[1])
+        blocks = [_SOLVERS[solver](X[i:i + step], ctx) for i in range(0, len(X), step)]
+        stacked = EstimateBatch(*map(np.concatenate, zip(*(vars(b).values() for b in blocks))))
+        parts = iter(stacked.split(len(sims) * len(ests)))
+        for point_out in out:
+            point_out.update(zip(ests, parts))
+    return [(point_out, digests) for point_out, (_, digests) in zip(out, sims)]
 
 
 def _reduce_point(spec, axis_value, ctx, parts):
@@ -423,26 +450,28 @@ def _reduce_point(spec, axis_value, ctx, parts):
 def run_experiment(spec, workers=1):
     """Execute the sweep and return its ResultTable.
 
-    Trials are independent work items; with ``workers > 1`` they run in one
-    process pool for the whole sweep, chunked by trial index, and are
-    reduced in submission order. Every estimator result depends on its own
-    trial alone, so the table bytes do not depend on the worker count.
+    Trials are independent work items, run per solve group (an SNR sweep is
+    one group, each point of an aperture or port-count sweep its own). With
+    ``workers > 1`` they run in one process pool for the whole sweep, chunked
+    by trial index, and are reduced in submission order. Every estimator
+    result depends on its own trial alone, so the table bytes do not depend
+    on the worker count.
     """
     spec.validate()
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     trials = int(spec.trials)
-    rows = []
+    rows = []  # groups are runs of consecutive axis points
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        for axis_index, axis_value in enumerate(spec.axis_values):
-            ctx = _make_point_context(spec, axis_index)
+        for ctx in _group_contexts(spec):
             if pool is None:
-                parts = [_run_trials(ctx, 0, trials)]
+                chunks = [_run_trials(ctx, 0, trials)]
             else:
                 bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
-                parts = list(pool.map(_run_trials, [ctx] * (len(bounds) - 1),
-                                      bounds[:-1], bounds[1:]))
-            rows.extend(_reduce_point(spec, axis_value, ctx, parts))
+                chunks = list(pool.map(_run_trials, [ctx] * (len(bounds) - 1),
+                                       bounds[:-1], bounds[1:]))
+            for (axis_index, _), *parts in zip(ctx.points, *chunks):
+                rows.extend(_reduce_point(spec, spec.axis_values[axis_index], ctx, parts))
 
     meta = {
         "version": __version__,

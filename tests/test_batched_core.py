@@ -103,12 +103,22 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
     return d_hat, conv, iterations
 
 
+def _group(spec, axis_index):
+    """The solve-group context holding one axis point, and the point's
+    place in the group."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ctxs = experiments._group_contexts(spec)
+    return next((ctx, j) for ctx in ctxs for j, (i, _) in enumerate(ctx.points)
+                if i == axis_index)
+
+
 def ref_point(spec, axis_index):
     """Per-trial (d_hat, converged, iterations) per estimator and draw
     digests of one axis point, one trial at a time."""
     axis_value = float(list(spec.axis_values)[axis_index])
     layout, sigma2 = experiments._resolve_point(spec, axis_value)
-    ctx = experiments._make_point_context(spec, axis_index)
+    ctx, _ = _group(spec, axis_index)
     scene = spec.scene
     amp = scene.amp_const(layout.wavelength)
     cov_fas = build_covariance(layout, spec.correlation_model, sigma2)
@@ -182,20 +192,21 @@ def test_brentq_port_reproduces_scipy_row_by_row():
 
 def _compare(spec):
     worst = {}
-    for axis_index in range(len(spec.axis_values)):
-        ref, ref_digests = ref_point(spec, axis_index)
-        ctx = experiments._make_point_context(spec, axis_index)
-        got, digests = experiments._run_trials(ctx, 0, spec.trials)
-        assert digests == ref_digests
-        for est in spec.estimators:
-            d_ref, conv_ref, it_ref = ref[est].T
-            batch = got[est]
-            np.testing.assert_array_equal(batch.converged, conv_ref.astype(bool))
-            ok = batch.converged
-            delta = np.abs(batch.d_hat[ok] - d_ref[ok])
-            worst[est] = max(worst.get(est, 0.0), float(delta.max(initial=0.0)))
-            if est == "fas_mle":
-                np.testing.assert_array_equal(batch.iterations[ok], it_ref[ok].astype(int))
+    for ctx in experiments._group_contexts(spec):
+        results = experiments._run_trials(ctx, 0, spec.trials)
+        for (axis_index, _), (got, digests) in zip(ctx.points, results):
+            ref, ref_digests = ref_point(spec, axis_index)
+            assert digests == ref_digests
+            for est in spec.estimators:
+                d_ref, conv_ref, it_ref = ref[est].T
+                batch = got[est]
+                np.testing.assert_array_equal(batch.converged, conv_ref.astype(bool))
+                ok = batch.converged
+                delta = np.abs(batch.d_hat[ok] - d_ref[ok])
+                worst[est] = max(worst.get(est, 0.0), float(delta.max(initial=0.0)))
+                if est == "fas_mle":
+                    np.testing.assert_array_equal(batch.iterations[ok],
+                                                  it_ref[ok].astype(int))
     return worst
 
 
@@ -217,15 +228,18 @@ def test_fig3_batched_core_matches_scalar_reference():
 
 
 def test_batch_results_do_not_depend_on_the_split():
+    # the whole fig2 sweep is one solve group of 7 points
     spec = fig2_spec(base_seed=9, trials=100)
-    ctx = experiments._make_point_context(spec, 0)
-    whole, _ = experiments._run_trials(ctx, 0, 100)
-    head, _ = experiments._run_trials(ctx, 0, 37)
-    tail, _ = experiments._run_trials(ctx, 37, 100)
-    for est in spec.estimators:
-        for field in ("d_hat", "converged", "iterations", "objective_value"):
-            joined = np.concatenate([getattr(head[est], field), getattr(tail[est], field)])
-            np.testing.assert_array_equal(getattr(whole[est], field), joined)
+    ctx, _ = _group(spec, 0)
+    assert [i for i, _ in ctx.points] == list(range(7))
+    whole = experiments._run_trials(ctx, 0, 100)
+    head = experiments._run_trials(ctx, 0, 37)
+    tail = experiments._run_trials(ctx, 37, 100)
+    for (w, _), (h, _), (t, _) in zip(whole, head, tail):
+        for est in spec.estimators:
+            for field in ("d_hat", "converged", "iterations", "objective_value"):
+                joined = np.concatenate([getattr(h[est], field), getattr(t[est], field)])
+                np.testing.assert_array_equal(getattr(w[est], field), joined)
 
 
 # One axis point of each preset: fig3 at h = 0.01, W = 1.0 (N = 100, the
@@ -243,19 +257,18 @@ FIELDS = ("d_hat", "converged", "iterations", "objective_value")
 
 
 def _point(name):
+    """The point's spec, its solve-group context and its place in the group."""
     spec, axis_index, n_ports = POINTS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ctx = experiments._make_point_context(spec, axis_index)
+    ctx, j = _group(spec, axis_index)
     assert ctx.profile.n_ports == n_ports
-    return spec, ctx
+    return spec, ctx, j
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
-    spec, ctx = _point(point)
-    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    spec, ctx, j = _point(point)
+    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
     whole = SOLVERS[solver](X, ctx)
     for k in range(X.shape[0]):
         alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
@@ -270,8 +283,8 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
     # batch (a 2-D product goes to gemm for many rows, to gemv for few), as
     # the table only picks cells; this checks the table itself, on pairs of
     # rows (a row alone is scanned directly)
-    spec, ctx = _point(point)
-    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    spec, ctx, j = _point(point)
+    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
     profile = ctx.profile
     res = estimators._Residual(profile, profile.derivative,
                                np.geomspace(*ctx.cfg.search_bracket, _SCAN_POINTS))
@@ -285,10 +298,11 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
-    spec, ctx = _point(point)
-    whole, whole_digests = experiments._run_trials(ctx, 0, spec.trials)
+    # the fig2 point shares its group with the other six SNRs
+    spec, ctx, j = _point(point)
+    whole, whole_digests = experiments._run_trials(ctx, 0, spec.trials)[j]
     for t in (0, 1, 50, spec.trials - 1):
-        one, digests = experiments._run_trials(ctx, t, t + 1)
+        one, digests = experiments._run_trials(ctx, t, t + 1)[j]
         assert digests == whole_digests[t:t + 1]
         for est in spec.estimators:
             for field in FIELDS:
@@ -297,14 +311,14 @@ def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # run_experiment reduces a point from one chunk of trials per worker
     axis_value = spec.axis_values[POINTS[point][1]]
     bounds = (0, 1, 2, 51, 52, spec.trials)
-    parts = [experiments._run_trials(ctx, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    parts = [experiments._run_trials(ctx, lo, hi)[j] for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert experiments._reduce_point(spec, axis_value, ctx, parts) == \
         experiments._reduce_point(spec, axis_value, ctx, [(whole, whole_digests)])
 
 
 def test_ls_scan_holds_no_rows_by_grid_by_ports_temporary():
-    spec, ctx = _point("fig3_n100")
-    X = experiments._simulate(ctx, 0, spec.trials)[0]["fas"]
+    spec, ctx, j = _point("fig3_n100")
+    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
     block = X.shape[0] * _SCAN_POINTS * X.shape[1] * X.itemsize  # 2.52 MiB
     tracemalloc.start()
     try:

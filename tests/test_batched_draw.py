@@ -22,14 +22,14 @@ def seed_sequence_key(entropy):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def ref_simulate(ctx, t_lo, t_hi):
-    rows = {name: [] for name in ctx.factors}
+def ref_simulate(ctx, axis_index, factors, t_lo, t_hi):
+    rows = {name: [] for name in factors}
     digests = []
     for t in range(t_lo, t_hi):
-        z = rng_from_seed((ctx.base_seed, ctx.axis_index, t)).standard_normal(
+        z = rng_from_seed((ctx.base_seed, axis_index, t)).standard_normal(
             (1, ctx.profile.n_ports))
         parts = []
-        for name, factor in ctx.factors.items():
+        for name, factor in factors.items():
             x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
             rows[name].append(x)
             parts.append(x.tobytes())
@@ -38,9 +38,12 @@ def ref_simulate(ctx, t_lo, t_hi):
 
 
 def point_context(spec, axis_index):
+    """The solve-group context holding one axis point, and that point."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return experiments._make_point_context(spec, axis_index)
+        ctxs = experiments._group_contexts(spec)
+    return next((ctx, point) for ctx in ctxs for point in ctx.points
+                if point[0] == axis_index)
 
 
 # ---------------------------------------------------------------- keys
@@ -107,9 +110,9 @@ def test_normal_rows_equal_per_trial_generators():
     (fig3_spec(spacing_h=0.01, base_seed=11, trials=100), 18),  # W = 1.0, N = 100
 ])
 def test_simulate_matches_per_trial_reference(spec, axis_index):
-    ctx = point_context(spec, axis_index)
-    rows, digests = experiments._simulate(ctx, 0, 100)
-    ref_rows, ref_digests = ref_simulate(ctx, 0, 100)
+    ctx, point = point_context(spec, axis_index)
+    rows, digests = experiments._simulate(ctx, *point, 0, 100)
+    ref_rows, ref_digests = ref_simulate(ctx, *point, 0, 100)
     assert digests == ref_digests
     assert rows.keys() == ref_rows.keys()
     for name in rows:
@@ -117,10 +120,10 @@ def test_simulate_matches_per_trial_reference(spec, axis_index):
 
 
 def test_simulate_chunks_give_the_same_bytes():
-    ctx = point_context(fig3_spec(spacing_h=0.01, base_seed=4, trials=100), 18)
-    whole, whole_digests = experiments._simulate(ctx, 0, 100)
-    head, head_digests = experiments._simulate(ctx, 0, 37)
-    tail, tail_digests = experiments._simulate(ctx, 37, 100)
+    ctx, point = point_context(fig3_spec(spacing_h=0.01, base_seed=4, trials=100), 18)
+    whole, whole_digests = experiments._simulate(ctx, *point, 0, 100)
+    head, head_digests = experiments._simulate(ctx, *point, 0, 37)
+    tail, tail_digests = experiments._simulate(ctx, *point, 37, 100)
     assert whole_digests == head_digests + tail_digests
     for name in whole:
         assert whole[name].tobytes() == np.concatenate([head[name], tail[name]]).tobytes()
@@ -128,9 +131,9 @@ def test_simulate_chunks_give_the_same_bytes():
 
 def test_fused_least_squares_equals_separate_solves():
     spec = fig2_spec(base_seed=13, trials=100)
-    ctx = point_context(spec, 1)
-    got, _ = experiments._run_trials(ctx, 0, 100)
-    X, _ = experiments._simulate(ctx, 0, 100)
+    ctx, point = point_context(spec, 1)
+    got, _ = experiments._run_trials(ctx, 0, 100)[ctx.points.index(point)]
+    X, _ = experiments._simulate(ctx, *point, 0, 100)
     for est, name in (("fas_ls", "fas"), ("multipoint_ls", "mp")):
         alone = solve_ls(X[name], ctx.profile, ctx.cfg)
         for field in ("d_hat", "converged", "iterations", "objective_value"):

@@ -324,6 +324,28 @@ def test_reproduce_rejects_an_snr_without_a_finite_variance_before_any_trial(
     assert "snr_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ('"sweep_axis": "port_count_n", "axis_values": [4, 1e400], "snr_db": 10.0, '
+     '"layout": {"aperture": 0.5}', "axis_values"),
+    ('"sweep_axis": "aperture_w", "axis_values": [0.5, 1.0], "snr_db": 10.0, '
+     '"spacing_h": 1e-320', "spacing_h"),
+    ('"sweep_axis": "port_count_n", "axis_values": [4, NaN], "snr_db": 10.0, '
+     '"layout": {"aperture": 0.5}', "axis_values"),
+    ('"sweep_axis": "snr_db", "axis_values": [0.0, 10.0], '
+     '"layout": {"n_ports": NaN, "aperture": 0.5}', "n_ports"),
+], ids=["infinite_port_count", "port_count_overflows", "nan_port_count", "nan_fixed_n_ports"])
+def test_reproduce_rejects_a_non_finite_point_naming_its_key_with_exit_2(
+        tmp_path, capsys, cfg, key):
+    # the config text holds the JSON as written: 1e400 reads as inf
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text('{"trials": 100, "estimators": ["fas_ls"], ' + cfg + "}")
+    assert run_cli("reproduce", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
 def test_json_twin_writes_null_for_a_row_that_excluded_every_trial(tmp_path):
     # weighted ML excludes every trial where the weight pole reaches the scene
     cfg_path = tmp_path / "sweep.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from fasloc.experiments import (AXES, FIG2_SNR_VALUES, METHODS, POINT_FIELDS, Ex
                                 ResultRow, ResultTable, default_scene,
                                 doubling_gain, fig2_spec, fig3_spec,
                                 find_extrema, nmse_db, run_experiment)
+from fasloc.forward_model import FAR_FIELD_RATIO
 
 # Byte pins of the spec hash and the serialised tables, computed before the
 # spec schema and the row serialiser were derived from the dataclass fields.
@@ -192,8 +194,10 @@ def test_run_is_deterministic(small_table):
 
 
 def test_workers_do_not_change_bytes(small_table):
+    # an snr_db sweep: both points are one solve group, chunked by trial
     par = run_experiment(small_spec(), workers=2)
     assert par.to_csv_string() == small_table.to_csv_string()
+    assert par.to_json_string() == small_table.to_json_string()
 
 
 def test_estimator_rows_do_not_depend_on_companions(small_table):
@@ -234,6 +238,53 @@ def test_non_convergence_excluded_and_flagged(monkeypatch):
     row = table.row(10.0, "fas_ls")
     assert row.excluded == 10
     assert row.flagged
+
+
+# ---------------------------------------------------------------- solve groups
+
+def _count_solves(monkeypatch):
+    """Record (solver, rows, ports) of every solver call of the sweeps."""
+    calls = []
+    for name, solve in list(experiments._SOLVERS.items()):
+        monkeypatch.setitem(experiments._SOLVERS, name,
+                            lambda X, c, name=name, solve=solve:
+                            calls.append((name, *X.shape)) or solve(X, c))
+    return calls
+
+
+def test_an_snr_sweep_is_one_solve_group(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    run_experiment(fig2_spec(trials=100))
+    # 7 points x 100 trials, stacked over both least-squares estimators
+    assert sorted(calls) == [("ls", 1400, 12), ("mle", 700, 12), ("single", 700, 1)]
+
+
+@pytest.mark.parametrize("spec", [fig2_spec(base_seed=3, trials=100),
+                                  fig3_spec(spacing_h=0.05, base_seed=3, trials=100)],
+                         ids=["fig2", "fig3_h0.05"])
+def test_solve_blocks_do_not_change_bytes(monkeypatch, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # far field
+        default = run_experiment(spec)
+        monkeypatch.setattr(experiments, "_BLOCK_READINGS", 100)
+        calls = _count_solves(monkeypatch)
+        blocked = run_experiment(spec)
+    assert max(rows * ports for _, rows, ports in calls) <= 100
+    assert len(calls) > 100
+    assert blocked.to_csv_string() == default.to_csv_string()
+    assert blocked.to_json_string() == default.to_json_string()
+
+
+def test_a_sweep_warns_of_the_near_field_once():
+    spec = fig3_spec(spacing_h=0.01, trials=100)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(spec)
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    near = [v for v in spec.axis_values if spec.scene.distance
+            < FAR_FIELD_RATIO * experiments._resolve_point(spec, v)[0].span_m]
+    assert 0 < len(near) < len(spec.axis_values)
+    assert f"aperture_w = {near};" in str(caught[0].message)
 
 
 # ---------------------------------------------------------------- fig presets
