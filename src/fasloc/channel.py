@@ -42,6 +42,7 @@ from .specfun import bessel_j0
 # used outside the model's validity range and must fail loudly.
 PSD_SHIFT_LIMIT = 1e-6
 _PSD_PAD = 1e-12
+MAX_PORTS = 4096  # most ports of a layout: its float64 covariance takes 128 MiB
 
 # The port-spacing conventions, each with the note a result table records.
 SPACING_NOTE = {
@@ -101,6 +102,8 @@ class FasLayout:
             _check_real(name, getattr(self, name))
         if int(self.n_ports) != self.n_ports or self.n_ports < 1:
             raise ValueError(f"n_ports must be a positive integer, got {self.n_ports}")
+        if self.n_ports > MAX_PORTS:
+            raise ValueError(f"n_ports must be at most {MAX_PORTS}, got {self.n_ports}")
         object.__setattr__(self, "n_ports", int(self.n_ports))
         if not (self.aperture >= 0.0) or not np.isfinite(self.aperture):
             raise ValueError(f"aperture must be a finite non-negative real, got {self.aperture}")
@@ -185,8 +188,9 @@ def average_mu_squared(layout):
 
     mu^2 = | 2/(N(N-1)) * sum_{k=1}^{N-1} (N-k) J0(2*pi*k*step) |,
     the absolute value of the mean over all port pairs. Always in [0, 1].
-    Cached per layout: a sweep point asks for it twice, once for the
-    covariance and once for the estimator weights. Requires N >= 2.
+    Cached per layout: a solve group's points share one layout (each of an
+    SNR sweep's seven builds its covariance from it), and repeated sweeps in
+    one process reuse it. Requires N >= 2.
     """
     n = layout.n_ports
     rho = lag_correlations(layout).tolist()

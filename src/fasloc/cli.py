@@ -110,6 +110,7 @@ def _write_table(table, out_path, want_json):
 
 
 def _cmd_reproduce(args):
+    """Run, write and summarise one (spec, CSV path) per table the request names."""
     if args.config is not None:
         if args.preset is not None:
             _info("error: give either a preset or --config, not both")
@@ -122,47 +123,38 @@ def _cmd_reproduce(args):
                   f"set base_seed, trials and spacing_h in the config file")
             return EXIT_INPUT
         spec, output = _read_config(args.config)
-        out = args.out or Path(output or "sweep.csv")
-        table = run_experiment(spec, workers=args.workers)
-        _write_table(table, out, args.json)
-        return EXIT_OK
-
-    if args.preset is None:
+        runs = [(spec, args.out or Path(output or "sweep.csv"))]
+    elif args.preset is None:
         _info("error: a preset name or --config is required")
         return EXIT_INPUT
+    elif args.preset == "fig2" and args.spacing_h is not None:
+        _info("error: --spacing-h applies to fig3 only")
+        return EXIT_INPUT
+    else:
+        # the presets' own defaults apply to the flags not given
+        preset_kw = {key: value for key, value in (("base_seed", args.seed),
+                                                   ("trials", args.trials)) if value is not None}
+        out = args.out or Path(f"{args.preset}.csv")
+        if args.preset == "fig2":
+            runs = [(fig2_spec(**preset_kw), out)]
+        elif args.spacing_h is not None:
+            runs = [(fig3_spec(spacing_h=args.spacing_h, **preset_kw), out)]
+        else:  # both pitches, each tagged in its file name
+            runs = [(fig3_spec(spacing_h=h, **preset_kw),
+                     out.with_name(out.stem + f"_h{h:g}".replace(".", "p") + out.suffix))
+                    for h in (0.05, 0.01)]
 
-    # the presets' own defaults apply to the flags not given
-    preset_kw = {key: value for key, value in (("base_seed", args.seed),
-                                               ("trials", args.trials))
-                 if value is not None}
-    if args.preset == "fig2":
-        if args.spacing_h is not None:
-            _info("error: --spacing-h applies to fig3 only")
-            return EXIT_INPUT
-        spec = fig2_spec(**preset_kw)
-        out = args.out or Path("fig2.csv")
+    for spec, path in runs:
         table = run_experiment(spec, workers=args.workers)
-        _write_table(table, out, args.json)
-        gap = (table.row(10.0, "single_antenna").nmse_db
-               - table.row(10.0, "fas_mle").nmse_db)
-        _info(f"single_antenna vs fas_mle NMSE gap at SNR 10 dB: {gap:.2f} dB")
-        return EXIT_OK
-
-    # fig3: one table per per-port pitch
-    pitches = (args.spacing_h,) if args.spacing_h is not None else (0.05, 0.01)
-    out = args.out or Path("fig3.csv")
-    for h in pitches:
-        spec = fig3_spec(spacing_h=h, **preset_kw)
-        table = run_experiment(spec, workers=args.workers)
-        if len(pitches) == 1:
-            path = out
-        else:
-            tag = f"_h{h:g}".replace(".", "p")
-            path = out.with_name(out.stem + tag + out.suffix)
         _write_table(table, path, args.json)
-        lo = min(r.nmse_db for r in table.rows)
-        hi = max(r.nmse_db for r in table.rows)
-        _info(f"fig3 pitch {h:g}: fas_ls NMSE range [{lo:.2f}, {hi:.2f}] dB over W")
+        if args.preset == "fig2":
+            gap = (table.row(10.0, "single_antenna").nmse_db
+                   - table.row(10.0, "fas_mle").nmse_db)
+            _info(f"single_antenna vs fas_mle NMSE gap at SNR 10 dB: {gap:.2f} dB")
+        elif args.preset == "fig3":
+            nmse = [r.nmse_db for r in table.rows]
+            _info(f"fig3 pitch {spec.spacing_h:g}: fas_ls NMSE range "
+                  f"[{min(nmse):.2f}, {max(nmse):.2f}] dB over W")
     return EXIT_OK
 
 

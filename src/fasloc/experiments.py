@@ -42,7 +42,6 @@ import hashlib
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence
@@ -87,7 +86,7 @@ def default_scene():
                  gain_tx=1.0, gain_rx=1.0, path_loss_exp=2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep description.
 
@@ -95,6 +94,7 @@ class ExperimentSpec:
     aperture W (with ``spacing_h`` fixing the per-port pitch, so the realized
     port count is max(2, round(W / spacing_h))), or the port count N. Of the
     ``POINT_FIELDS`` a spec sets exactly those ``AXES`` says its axis reads.
+    A spec is frozen and checks itself (``validate``) when it is built.
     """
 
     sweep_axis: str
@@ -111,6 +111,9 @@ class ExperimentSpec:
     snr_db: Optional[float] = None
     spacing_h: Optional[float] = None
     mle_frozen_weights: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def from_dict(cls, cfg):
@@ -148,16 +151,13 @@ class ExperimentSpec:
             kwargs["wavelength"] = float(_check_real("wavelength", kwargs["wavelength"]))
         if "correlation_model" in kwargs:
             kwargs["correlation_model"] = CorrelationModel(kwargs["correlation_model"])
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
+        return cls(**kwargs)
 
     def validate(self):
         if self.sweep_axis not in AXES:
             raise ValueError(f"sweep_axis must be one of {tuple(AXES)}, got {self.sweep_axis!r}")
-        swept, reads = AXES[self.sweep_axis]
+        reads = AXES[self.sweep_axis][1]
         vals = [_check_finite("axis_values", v) for v in self.axis_values]
-        _check_real("wavelength", self.wavelength)
         for name in POINT_FIELDS:
             if (getattr(self, name) is None) == (name in reads):
                 verb = "needs" if name in reads else "does not read"
@@ -180,11 +180,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown estimator {est!r}; expected one of {tuple(METHODS)}")
         if len(set(self.estimators)) != len(list(self.estimators)):
             raise ValueError("estimator list contains duplicates")
-        if swept == "n_ports" and any(v != int(v) or v < 1 for v in vals):
-            raise ValueError("port counts must be positive integers")
         if self.spacing_h is not None and not self.spacing_h > 0.0:
             raise ValueError("spacing_h must be positive")
-        for v in vals:  # every point resolves before any trial runs
+        for v in vals:  # every point's FasLayout checks its port count and wavelength
             _resolve_point(self, float(v))
 
     def to_dict(self):
@@ -451,25 +449,24 @@ def run_experiment(spec, workers=1):
     """Execute the sweep and return its ResultTable.
 
     Trials are independent work items, run per solve group (an SNR sweep is
-    one group, each point of an aperture or port-count sweep its own). With
-    ``workers > 1`` they run in one process pool for the whole sweep, chunked
-    by trial index, and are reduced in submission order. Every estimator
-    result depends on its own trial alone, so the table bytes do not depend
-    on the worker count.
+    one group, each point of an aperture or port-count sweep its own) in
+    ``workers`` chunks by trial index: through ``map``, or with ``workers > 1``
+    one process pool's ``map`` for the whole sweep; chunks reduce in order.
+    Every estimator result depends on its own trial alone, so the table bytes
+    do not depend on the worker count.
     """
-    spec.validate()
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    trials = int(spec.trials)
+    bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1).astype(int).tolist()
+    pool, run = nullcontext(), map
+    if workers > 1:  # imported only here: the pool's modules are slow to load
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+        run = pool.map
     rows = []  # groups are runs of consecutive axis points
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+    with pool:
         for ctx in _group_contexts(spec):
-            if pool is None:
-                chunks = [_run_trials(ctx, 0, trials)]
-            else:
-                bounds = np.linspace(0, trials, min(workers, trials) + 1).astype(int).tolist()
-                chunks = list(pool.map(_run_trials, [ctx] * (len(bounds) - 1),
-                                       bounds[:-1], bounds[1:]))
+            chunks = list(run(_run_trials, [ctx] * (len(bounds) - 1), bounds[:-1], bounds[1:]))
             for (axis_index, _), *parts in zip(ctx.points, *chunks):
                 rows.extend(_reduce_point(spec, spec.axis_values[axis_index], ctx, parts))
 

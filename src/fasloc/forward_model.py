@@ -211,8 +211,9 @@ def read_measurements(path, n_ports):
     """Parse a measurement file written by write_measurements into a
     (snapshots, n_ports) array.
 
-    Each line must carry exactly n_ports readings. Raises ValueError on any
-    malformed line and on a file without snapshots.
+    Each line must carry an integer snapshot index and exactly n_ports
+    readings. Raises ValueError on any malformed line and on a file without
+    snapshots.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -227,9 +228,10 @@ def read_measurements(path, n_ports):
                     f"{n_ports} readings, got {len(parts)} fields"
                 )
             try:
+                int(parts[0])  # the snapshot index
                 rows.append([float(p) for p in parts[1:]])
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: unparseable reading: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: unparseable index or reading: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no snapshots found")
     return np.array(rows)

@@ -26,6 +26,9 @@ def test_layout_validation():
         FasLayout(4, 0.5, -1.0)
     with pytest.raises(ValueError):
         FasLayout(4, 0.5, 0.125, "diagonal")
+    FasLayout(channel.MAX_PORTS, 0.5)  # a layout alone builds no covariance
+    with pytest.raises(ValueError, match="n_ports"):
+        FasLayout(channel.MAX_PORTS + 1, 0.5)
 
 
 def test_port_offsets_endpoint_vs_index():
@@ -186,6 +189,17 @@ def test_fully_correlated_matrix_still_samples():
     draws = sample_fading(cov, 5, 4)
     spread = np.ptp(draws, axis=1)
     assert np.all(spread < 1e-4)
+
+
+def test_a_singular_covariance_factors_through_its_eigenvectors():
+    # two ports at W = 0: mu^2 = 1, the all-ones matrix needs no shift, and
+    # Cholesky fails on it
+    cov = build_covariance(FasLayout(2, 0.0), CorrelationModel.AVERAGE_MU, 1.0)
+    assert cov.shift == 0.0 and np.array_equal(cov.entries, np.ones((2, 2)))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov.entries)
+    factor = cov.factor()
+    assert np.array_equal(factor @ factor.T, cov.entries)
 
 
 # ---------------------------------------------------------------- sampling

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from fasloc import cli, experiments
-from fasloc.channel import (CorrelationModel, FasLayout, average_mu_squared,
-                            build_covariance)
+from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
+                            average_mu_squared, build_covariance)
 from fasloc.cli import _read_config, main
 from fasloc.estimators import (READING_LIMIT_DBM, EstimatorConfig, solve_ls, solve_mle,
                                solve_single_antenna)
@@ -228,8 +229,9 @@ def test_reproduce_config_rejects_a_key_that_is_not_an_array_with_exit_2(tmp_pat
     (None, ["--seed", "7", "--trials", "500", "--spacing-h", "0.3"],
      ["--seed", "--trials", "--spacing-h"]),
     ("fig2", ["--spacing-h", "0.3"], ["--spacing-h"]),
+    ("fig2", ["--config", "sweep.json"], ["either a preset or --config"]),
 ], ids=["config-seed", "config-seed-42", "config-trials", "config-spacing-h",
-        "config-all-three", "fig2-spacing-h"])
+        "config-all-three", "fig2-spacing-h", "fig2-config"])
 def test_reproduce_rejects_a_flag_it_would_ignore_with_exit_2(tmp_path, capsys, preset,
                                                               flags, named):
     out = tmp_path / "sweep.csv"
@@ -346,6 +348,61 @@ def test_reproduce_rejects_a_non_finite_point_naming_its_key_with_exit_2(
     assert key in err and "finite" in err
 
 
+PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100,
+              "estimators": ["fas_ls"], "snr_db": 10, "layout": {"aperture": 0.5}}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**SNR_SWEEP, "sweep_axis": "distance"}), "sweep_axis must be one of"),
+    (json.dumps({**SNR_SWEEP, "estimators": []}), "estimator list is empty"),
+    (json.dumps({**APERTURE_SWEEP, "spacing_h": 0}), "spacing_h must be positive"),
+    (json.dumps({**APERTURE_SWEEP, "spacing_h": -0.05}), "spacing_h must be positive"),
+    (json.dumps({**PORT_SWEEP, "axis_values": [4, 4.5]}),
+     "n_ports must be a positive integer, got 4.5"),
+    (json.dumps({**PORT_SWEEP, "axis_values": [4, 10 ** 12]}), "n_ports must be at most"),
+    (json.dumps({**APERTURE_SWEEP, "axis_values": [0.1, 1000.0], "spacing_h": 0.001}),
+     "n_ports must be at most"),
+    (json.dumps(SNR_SWEEP)[:-1] + ', "scene": {"bearing": 1e400}}', "bearing must be finite"),
+    ("[1, 2]", "config root must be a JSON object"),
+], ids=["unknown_axis", "no_estimators", "zero_pitch", "negative_pitch",
+        "fractional_port_count", "port_count_over_the_cap", "aperture_over_the_cap",
+        "infinite_bearing", "array_root"])
+def test_reproduce_config_rejects_a_bad_spec_before_any_group_with_exit_2(
+        tmp_path, capsys, monkeypatch, text, message):
+    # a run that got past the spec would build N x N covariances first
+    monkeypatch.setattr(experiments, "_group_contexts", lambda spec: pytest.fail("ran"))
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(text)
+    assert run_cli("reproduce", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_a_config_sweep_checks_its_spec_once(tmp_path, monkeypatch):
+    calls = []
+    validate, resolve = experiments.ExperimentSpec.validate, experiments._resolve_point
+    monkeypatch.setattr(experiments.ExperimentSpec, "validate",
+                        lambda spec: calls.append("validate") or validate(spec))
+    monkeypatch.setattr(experiments, "_resolve_point",
+                        lambda spec, v: calls.append("resolve") or resolve(spec, v))
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(SNR_SWEEP))
+    assert run_cli("reproduce", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "sweep.csv")) == 0
+    # validate resolves each point once, and the solve groups once more
+    points = len(SNR_SWEEP["axis_values"])
+    assert sorted(calls) == ["resolve"] * 2 * points + ["validate"]
+
+
+def test_reproduce_runs_and_writes_every_table_at_one_site():
+    source = inspect.getsource(cli._cmd_reproduce)
+    assert source.count("run_experiment(") == 1
+    assert source.count("_write_table(") == 1
+
+
 def test_json_twin_writes_null_for_a_row_that_excluded_every_trial(tmp_path):
     # weighted ML excludes every trial where the weight pole reaches the scene
     cfg_path = tmp_path / "sweep.json"
@@ -438,6 +495,40 @@ def test_estimate_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "input error" in captured.err
+
+
+@pytest.mark.parametrize("capture", ["x,-60,-61,-62\nx,-60,-61,-62\n",
+                                     "-60.24,-59.88,-59.64,-59.76\n"],
+                         ids=["text_index", "no_index_column"])
+def test_estimate_rejects_a_snapshot_index_that_is_not_an_integer(tmp_path, capsys, capture):
+    rc, path = estimate_capture(tmp_path, "ls", capture)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:1:" in captured.err
+
+
+def test_estimate_rejects_a_port_count_over_the_cap_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "capture.txt"
+    path.write_text(CAPTURE_12)
+    assert run_cli("estimate", "--input", str(path), "--theta", "1.0",
+                   "--n-ports", "100000", "--aperture", "0.5",
+                   "--amp-const", str(A_DEFAULT)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_ports" in captured.err
+
+
+def test_estimate_mle_rejects_a_bracket_inside_the_weight_pole_with_exit_2(tmp_path, capsys):
+    # 12 index-spaced ports at W = 2 facing theta = 0: the pole is at 5.5 m
+    path = tmp_path / "capture.txt"
+    path.write_text(CAPTURE_12)
+    assert run_cli("estimate", "--input", str(path), "--theta", "0", "--n-ports", "12",
+                   "--aperture", "2.0", "--spacing", "index", "--amp-const", str(A_DEFAULT),
+                   "--method", "mle", "--bracket", "0.01", "0.02") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5.5 m" in captured.err
 
 
 def estimate_capture(tmp_path, method, capture=None, *flags):
@@ -603,6 +694,18 @@ def test_inspect_invalid_layout_exits_2(capsys):
     assert run_cli("inspect", "--n-ports", "1", "--aperture", "0.5") == 2
 
 
+def test_a_model_validity_error_exits_4(capsys, monkeypatch):
+    # no valid input reaches the PSD-repair limit, so the error is forced
+    def fail(*args):
+        raise ModelValidityError("forced")
+
+    monkeypatch.setattr(cli, "build_covariance", fail)
+    assert run_cli("inspect", "--n-ports", "4", "--aperture", "0.5") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "model-validity error: forced" in captured.err
+
+
 def test_inspect_stdout_is_pure_json(capsys):
     run_cli("inspect", "--n-ports", "4", "--aperture", "0.3")
     out = capsys.readouterr().out
@@ -718,6 +821,16 @@ def test_importing_the_cli_builds_no_parser():
     proc = run_module("-c", "import fasloc.cli as c; print(c._build_parser.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_a_serial_run_never_loads_the_process_pool():
+    code = ("import sys, fasloc.cli, fasloc.experiments as e; "
+            "print('multiprocessing' in sys.modules); "
+            "e.run_experiment(e.fig2_spec(trials=100)); "
+            "print('multiprocessing' in sys.modules)")
+    proc = run_module("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFalse\n"
 
 
 def test_python_dash_m_fasloc_is_the_cli(capsys):

@@ -165,10 +165,23 @@ def test_from_dict_defaults_reproduce_the_fig2_preset():
     ({k: v for k, v in fig2_config().items() if k != "trials"}, "trials"),
     (fig2_config(trials=150.9), "trials"),
     (fig2_config(mle_frozen_weights="no"), "mle_frozen_weights"),
+    (fig2_config(sweep_axis="port_count_n", axis_values=[4, 10 ** 12], snr_db=10.0,
+                 layout={"aperture": 0.5}), "n_ports must be at most"),
+    ({"sweep_axis": "aperture_w", "axis_values": [0.1, 1000.0], "trials": 100,
+      "estimators": ["fas_ls"], "snr_db": 10.0, "spacing_h": 0.001},  # W / spacing_h = 10**6
+     "n_ports must be at most"),
 ])
 def test_from_dict_rejects_bad_configs(cfg, message):
     with pytest.raises(ValueError, match=message):
         ExperimentSpec.from_dict(cfg)
+
+
+def test_a_spec_checks_itself_when_built():
+    with pytest.raises(ValueError, match="trials"):
+        small_spec(trials=50)
+    spec = small_spec()
+    with pytest.raises(AttributeError):
+        spec.trials = 50  # frozen: a built spec stays checked
 
 
 def test_spec_hash_tracks_content():
