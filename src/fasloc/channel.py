@@ -28,6 +28,7 @@ Three correlation models produce an N x N unit-diagonal matrix:
 * ``INDEPENDENT``  identity (conventional multipoint array).
 """
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ class FasLayout:
     def __post_init__(self):
         for name in ("n_ports", "aperture", "wavelength"):
             _check_real(name, getattr(self, name))
-        if int(self.n_ports) != self.n_ports or self.n_ports < 1:
+        if not 1 <= self.n_ports < math.inf or int(self.n_ports) != self.n_ports:
             raise ValueError(f"n_ports must be a positive integer, got {self.n_ports}")
         if self.n_ports > MAX_PORTS:
             raise ValueError(f"n_ports must be at most {MAX_PORTS}, got {self.n_ports}")

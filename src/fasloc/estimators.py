@@ -34,14 +34,17 @@ Three families:
 
 Both root problems go through ``_brentq``, an operation-for-operation port
 of scipy's ``brentq`` in which every row carries its own bracket and stops
-on its own. The bracket scan before it is one vector-matrix product per row
-on expanded inner products (a lone row is scanned directly), whose table
-only picks the cells: where its rounding could change a sign or a minimum,
-the entries are recomputed, so the cells are those a table of the function
-itself gives. Every value that reaches a refinement or a result (the
-function at both cell ends, the least-squares objective at the bracket
-ends) is computed row by row from the residuals themselves, so it does not
-depend on how the table rounds or on which rows share a batch.
+on its own. A single bracket, as a one-row estimate usually has, takes the
+same steps on Python floats, with the same bits: on length-1 arrays the cost
+of a numpy call outweighs its arithmetic. The bracket scan before it is one
+vector-matrix product per row on expanded inner products (a lone row is
+scanned directly), whose table only picks the cells: where its rounding
+could change a sign or a minimum, the entries are recomputed, so the cells
+are those a table of the function itself gives. Every value that reaches a
+refinement or a result (the function at both cell ends, the least-squares
+objective at the bracket ends) is computed row by row from the residuals
+themselves, so it does not depend on how the table rounds or on which rows
+share a batch.
 Every solver takes the link model it inverts as one ``RssiProfile``, which
 checks the bearing and the link constants when it is built; the solvers
 check the readings and, through the scan, the model on the bracket.
@@ -55,7 +58,7 @@ import numpy as np
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
 # Relative tolerance of the root solver: scipy brentq's default, 4 * eps.
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * float(np.finfo(float).eps)
 # Golden-section ratio (sqrt(5) - 1) / 2.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Iteration cap of the Brent and golden-section refinements.
@@ -193,10 +196,15 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     fb are its values at the bracket ends, which the solvers take from the
     model and weights on the grid with the same arithmetic. A row whose
     endpoint values share a sign is not solved (``bracketed`` False).
-    Returns (root, f(root), iterations, converged, bracketed).
+    Returns (root, f(root), iterations, converged, bracketed). A single
+    bracket, a one-row estimate, is stepped on Python floats instead by
+    ``_brentq_one``: the same operations in the same order, so the same bits.
     """
     xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    if xcur.size == 1:
+        return _brentq_one(f, xpre.item(), xcur.item(), fpre.item(), fcur.item(),
+                           float(xtol), maxiter)
     at_a = fpre == 0.0
     root = np.where(at_a, xpre, xcur)
     froot = np.where(at_a, fpre, fcur)
@@ -260,12 +268,54 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     return root, froot, iterations, bracketed & ~active, bracketed
 
 
+def _brentq_one(f, xpre, xcur, fpre, fcur, xtol, maxiter):
+    """``_brentq`` on one bracket of Python floats; returns its shape-(1,)
+    arrays, and f still maps a shape-(1,) array. Signs are compared by their
+    sign bit, as ``np.signbit`` does. A zero divisor bisects: numpy makes an
+    inf or nan trial step of it, which the step test rejects."""
+    def result(root, froot, iterations, converged, bracketed):
+        return (np.array([root]), np.array([froot]), np.array([iterations], dtype=np.int64),
+                np.array([converged]), np.array([bracketed]))
+
+    at_a = fpre == 0.0
+    bracketed = at_a or fcur == 0.0 or math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+    if not bracketed or at_a or fcur == 0.0:
+        return result(xpre if at_a else xcur, fpre if at_a else fcur, 0, bracketed, bracketed)
+    xblk, fblk, spre, scur = xpre, fpre, 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # numpy inside f
+        for it in range(1, maxiter + 1):
+            if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + _RTOL * abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            if fcur == 0.0 or abs(sbis) < delta:
+                return result(xcur, fcur, it, True, True)
+            short = abs(spre) > delta and abs(fcur) < abs(fpre)
+            if short:
+                try:
+                    stry = _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk)
+                except ZeroDivisionError:
+                    stry = math.nan
+                twice = 2.0 * abs(stry)
+                # twice < np.minimum(a, b), which is False when a or b is nan
+                short = twice < abs(spre) and twice < 3.0 * abs(sbis) - delta
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + (scur if abs(scur) > delta else math.copysign(delta, sbis))
+            fcur = f(np.array([xcur])).item()
+    return result(xcur, fcur, maxiter, False, True)
+
+
 def _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk):
     """brentq's trial step: secant where pre and blk coincide, inverse
-    quadratic extrapolation elsewhere."""
+    quadratic extrapolation elsewhere; on arrays or on Python floats."""
     secant = xpre == xblk
     n_secant = np.count_nonzero(secant)
-    if n_secant == secant.size:
+    if n_secant == np.size(secant):
         return -fcur * (xcur - xpre) / (fcur - fpre)
     dpre = (fpre - fcur) / (xpre - xcur)
     dblk = (fblk - fcur) / (xblk - xcur)

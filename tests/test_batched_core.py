@@ -107,7 +107,7 @@ def _group(spec, axis_index):
     """The solve-group context holding one axis point, and the point's
     place in the group."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)  # the far-field warning
         ctxs = experiments._group_contexts(spec)
     return next((ctx, j) for ctx in ctxs for j, (i, _) in enumerate(ctx.points)
                 if i == axis_index)
@@ -159,9 +159,25 @@ def ref_point(spec, axis_index):
 
 # ---------------------------------------------------------------- root solver
 
-def test_brentq_port_reproduces_scipy_row_by_row():
+def assert_lone_brackets_equal_the_batch(f, xa, xb, fa, fb, batch):
+    """Each bracket solved alone, which runs on Python floats, gives the five
+    arrays of its batch row, dtypes and bytes included, and no warning;
+    f(x, rows) takes the rows' slice."""
+    for i in range(xa.size):
+        one = slice(i, i + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = estimators._brentq(lambda x: f(x, one), xa[one], xb[one], fa[one],
+                                       fb[one], 1e-9, 200)
+        for a, b in zip(alone, batch):
+            assert a.dtype == b.dtype and a.shape == (1,) and a.tobytes() == b[one].tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e300])
+def test_brentq_port_reproduces_scipy_row_by_row(scale):
     # assorted smooth functions, so that bisection, secant and inverse
-    # quadratic steps all occur; some brackets hold no sign change
+    # quadratic steps all occur; some brackets hold no sign change. At tiny
+    # scales the interpolation divides by zero, which must bisect.
     rng = np.random.default_rng(3)
     k = 300
     root = rng.uniform(-2.0, 2.0, k)
@@ -171,21 +187,45 @@ def test_brentq_port_reproduces_scipy_row_by_row():
 
     def f(x, rows=slice(None)):
         u = x - root[rows]
-        return np.tanh(slope[rows] * u) + cubic[rows] * u ** 3 + wiggle[rows] * np.sin(3.0 * u) * u
+        return scale * (np.tanh(slope[rows] * u) + cubic[rows] * u ** 3
+                        + wiggle[rows] * np.sin(3.0 * u) * u)
 
     xa = root - rng.uniform(0.01, 3.0, k)
     xb = root + rng.uniform(0.01, 3.0, k)
     fa, fb = f(xa), f(xb)
-    got, g_got, its, conv, bracketed = estimators._brentq(f, xa, xb, fa, fb, 1e-9, 200)
-    np.testing.assert_array_equal(bracketed, fa * fb < 0.0)
+    batch = estimators._brentq(f, xa, xb, fa, fb, 1e-9, 200)
+    got, g_got, its, conv, bracketed = batch
+    np.testing.assert_array_equal(bracketed, np.sign(fa) * np.sign(fb) < 0.0)
     assert bracketed.sum() > 0.9 * k
     np.testing.assert_array_equal(conv, bracketed)
+    assert_lone_brackets_equal_the_batch(f, xa, xb, fa, fb, batch)
     for i in np.flatnonzero(bracketed):
         want, info = brentq(lambda x: float(f(np.array([x]), slice(i, i + 1))[0]),
                             xa[i], xb[i], xtol=1e-9, maxiter=200, full_output=True)
         assert got[i] == want
         assert its[i] == info.iterations
     np.testing.assert_array_equal(g_got[bracketed], f(got)[bracketed])
+
+
+def test_a_lone_bracket_keeps_the_bits_of_its_row_on_signed_zeros_and_nans():
+    # the array port compares sign bits, so a negative nan counts as negative
+    # and a function value of -0.0 as zero; end values and function values
+    # take every such kind, and nan from f lands inside running brackets
+    ends = [-1.0, 1.0, -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
+    fa, fb = (np.array(v) for v in zip(*[(a, b) for a in ends for b in ends]))
+    k = fa.size
+    xa, xb = np.full(k, -1.0), np.full(k, 2.0)
+    hole = np.linspace(-0.9, 1.9, k)
+    sign = np.where(np.arange(k) % 2, 1.0, -1.0)
+
+    def f(x, rows=slice(None)):
+        value = x - 0.3
+        return np.where(np.abs(x - hole[rows]) < 0.05, np.copysign(math.nan, sign[rows]),
+                        np.where(np.abs(value) < 1e-3, -0.0, value))
+
+    batch = estimators._brentq(f, xa, xb, fa, fb, 1e-9, 200)
+    assert batch[4].sum() > k // 2
+    assert_lone_brackets_equal_the_batch(f, xa, xb, fa, fb, batch)
 
 
 # ---------------------------------------------------------------- regression
@@ -212,7 +252,7 @@ def _compare(spec):
 
 def test_fig2_batched_core_matches_scalar_reference():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)  # the far-field warning
         worst = _compare(fig2_spec(base_seed=5, trials=100))
     assert worst["fas_mle"] <= MLE_TOL
     assert worst["fas_ls"] <= LS_TOL
@@ -222,7 +262,7 @@ def test_fig2_batched_core_matches_scalar_reference():
 
 def test_fig3_batched_core_matches_scalar_reference():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)  # the far-field warning
         worst = _compare(fig3_spec(spacing_h=0.05, base_seed=5, trials=100))
     assert worst["fas_ls"] <= LS_TOL
 

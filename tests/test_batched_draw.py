@@ -40,7 +40,7 @@ def ref_simulate(ctx, axis_index, factors, t_lo, t_hi):
 def point_context(spec, axis_index):
     """The solve-group context holding one axis point, and that point."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)  # the far-field warning
         ctxs = experiments._group_contexts(spec)
     return next((ctx, point) for ctx in ctxs for point in ctx.points
                 if point[0] == axis_index)

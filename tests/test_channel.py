@@ -31,6 +31,13 @@ def test_layout_validation():
         FasLayout(channel.MAX_PORTS + 1, 0.5)
 
 
+@pytest.mark.parametrize("n_ports", [float("inf"), float("-inf"), float("nan"),
+                                     np.float64("inf"), 2.5])
+def test_layout_rejects_a_port_count_that_is_not_a_finite_integer(n_ports):
+    with pytest.raises(ValueError, match="n_ports must be a positive integer"):
+        FasLayout(n_ports, 0.5)
+
+
 def test_port_offsets_endpoint_vs_index():
     lay = FasLayout(4, 0.5, wavelength=1.0, spacing="endpoint")
     np.testing.assert_allclose(lay.port_offsets_m(), [0.0, 0.125, 0.25, 0.375])

@@ -1,6 +1,7 @@
 """Properties of the batched solvers on random geometries, readings and
-brackets: every estimate lies inside its bracket, and a weighted-ML row
-whose g changes sign on the scan grid comes back with a root."""
+brackets: every estimate lies inside its bracket, every row solved alone
+equals its batch row, and a weighted-ML row whose g changes sign on the
+scan grid comes back with a root."""
 
 import math
 import warnings
@@ -51,6 +52,16 @@ def g_on(d, X, profile, kap, frozen_b):
     return (w * (X[:, np.newaxis, :] - profile.rssi(di_sq))).sum(axis=2)
 
 
+def assert_each_row_alone_equals_the_batch(solve, X, batch):
+    """Every row of X solved alone, as a single-shot estimate is, gives the
+    bytes of its batch row in all four fields."""
+    for k in range(X.shape[0]):
+        alone = solve(X[k:k + 1])
+        for field in ("d_hat", "converged", "iterations", "objective_value"):
+            got, want = getattr(alone, field), getattr(batch, field)[k:k + 1]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # a 12-port capture spread over hundreds of dB, whose sign change near 0.056 m
 # is a root of g that Brent places within the tolerance
 SPREAD_LAYOUT = FasLayout(12, 0.5, 0.125, "index")
@@ -76,6 +87,7 @@ def test_estimates_lie_in_the_bracket_and_sign_changes_converge(case, frozen):
         pass
     else:
         assert ((lo <= ls.d_hat) & (ls.d_hat <= hi)).all()
+        assert_each_row_alone_equals_the_batch(lambda x: solve_ls(x, profile, cfg), X, ls)
 
     pole = float(np.max(2.0 * layout.port_offsets_m() * np.cos(theta)))
     lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
@@ -84,6 +96,7 @@ def test_estimates_lie_in_the_bracket_and_sign_changes_converge(case, frozen):
     except ValueError:  # also a bracket inside the pole radius
         return
     assert ((lo_eff <= batch.d_hat) & (batch.d_hat <= hi)).all()
+    assert_each_row_alone_equals_the_batch(lambda x: solve_mle(x, profile, a, cfg), X, batch)
 
     kap = kappa_constant(a, layout.n_ports)
     frozen_b = None
