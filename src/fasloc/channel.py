@@ -147,6 +147,7 @@ class CovarianceMatrix:
 
     entries: np.ndarray
     shift: float = 0.0
+    raw_eigenvalues: np.ndarray = None  # the raw matrix's, ascending, from the PSD check
 
     @property
     def dim(self):
@@ -227,7 +228,8 @@ def build_covariance(layout, model, sigma2):
         raise ValueError(f"unknown correlation model: {model!r}")
 
     shift = 0.0
-    eig_min = float(np.linalg.eigvalsh(r)[0])
+    eigs = np.linalg.eigvalsh(r)
+    eig_min = float(eigs[0])
     if eig_min < 0.0:
         shift = -eig_min + _PSD_PAD
         if shift > PSD_SHIFT_LIMIT:
@@ -237,7 +239,7 @@ def build_covariance(layout, model, sigma2):
             )
         r = r + shift * np.eye(n)
 
-    return CovarianceMatrix(entries=sigma2 * r, shift=shift)
+    return CovarianceMatrix(entries=sigma2 * r, shift=shift, raw_eigenvalues=eigs)
 
 
 def _seed_words(values):

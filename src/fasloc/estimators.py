@@ -32,19 +32,18 @@ Three families:
 * ``solve_single_antenna``: averages the readings of a one-port stream and
   inverts the log-distance model in closed form.
 
-Both root problems go through ``_brentq``, an operation-for-operation port
-of scipy's ``brentq`` in which every row carries its own bracket and stops
-on its own. A single bracket, as a one-row estimate usually has, takes the
-same steps on Python floats, with the same bits: on length-1 arrays the cost
-of a numpy call outweighs its arithmetic. The bracket scan before it is one
-vector-matrix product per row on expanded inner products (a lone row is
-scanned directly), whose table only picks the cells: where its rounding
-could change a sign or a minimum, the entries are recomputed, so the cells
-are those a table of the function itself gives. Every value that reaches a
-refinement or a result (the function at both cell ends, the least-squares
-objective at the bracket ends) is computed row by row from the residuals
-themselves, so it does not depend on how the table rounds or on which rows
-share a batch.
+Both solvers scan the bracket on a geometric grid and refine the brackets of
+grid cells it gives in one step, ``_refine``: Brent's root step on g where g
+changes sign over a bracket, golden-section search on the solver's objective
+where it does not. ``_brentq`` is an operation-for-operation port of scipy's
+``brentq`` in which every bracket stops on its own; a single bracket steps
+on Python floats with the same bits. The scan is one vector-matrix product
+per row on expanded inner products (a lone row is scanned directly), whose
+table only picks the cells: where its rounding could change a sign or a
+minimum, the entries are recomputed, so the cells are those a table of the
+function itself gives. Every value that reaches a refinement or a result is
+computed row by row from the residuals themselves, so it does not depend on
+how the table rounds or on which rows share a batch.
 Every solver takes the link model it inverts as one ``RssiProfile``, which
 checks the bearing and the link constants when it is built; the solvers
 check the readings and, through the scan, the model on the bracket.
@@ -124,6 +123,7 @@ class _Residual:
     def __init__(self, profile, weights, grid):
         self.profile = profile
         self.weights = weights
+        self.grid = grid
         di_sq = profile.dist_sq(grid)
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite slope
             self.model = profile.rssi(di_sq)
@@ -221,8 +221,6 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     # masked update is skipped when no row takes it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, maxiter + 1):
-            if not np.count_nonzero(active):
-                break
             flip = np.signbit(fpre) != np.signbit(fcur)
             if np.count_nonzero(flip):
                 np.putmask(xblk, flip, xpre)
@@ -246,6 +244,8 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
                 np.putmask(froot, done, fcur)
                 np.putmask(iterations, done, it)
                 active ^= done
+            if not np.count_nonzero(active):
+                break
 
             # take the interpolation step where it is short enough, bisect
             # elsewhere
@@ -355,23 +355,38 @@ def _golden(phi, a, b, xtol, maxiter):
     return np.where(best_c, c, d), np.where(best_c, fc, fd), evaluations
 
 
-def _exact_argmin(table, slack, exact):
-    """Per row, the index of the smallest entry of the exact table, which
-    ``table`` approximates to within the row's ``slack``: when some row has
-    several entries that may be its minimum, every such entry is replaced
-    in place by exact(rows, cells). A zero slack marks a table that is the
-    exact one. Ties go to the first index, as in np.argmin."""
+def _best_cells(table, slack, exact):
+    """Per row, the grid indices bounding the two cells around the smallest
+    entry of the exact table, which ``table`` approximates to within the
+    row's ``slack``: when some row has several entries that may be its
+    minimum, every such entry is replaced in place by exact(rows, cells). A
+    zero slack marks an exact table. Ties go to the first index (np.argmin)."""
     if slack.any():
         near = table <= np.min(table, axis=1, keepdims=True) + 2.0 * slack
         if np.count_nonzero(near) > table.shape[0]:
             rows, cells = np.nonzero(near)
             table[rows, cells] = exact(rows, cells)
-    return np.argmin(table, axis=1)
+    j = np.argmin(table, axis=1)
+    return np.maximum(j - 1, 0), np.minimum(j + 1, table.shape[1] - 1)
 
 
-def _cells(j, size):
-    """Grid indices bounding the two cells around index j, clipped at the ends."""
-    return np.maximum(j - 1, 0), np.minimum(j + 1, size - 1)
+def _refine(res, X, lo, hi, objective, cfg):
+    """One bracket per row of X, grid point lo to hi of ``res``, refined by
+    Brent's method on g where g changes sign on it (a grid zero, lo == hi,
+    is its own root after 0 iterations), else by golden-section search on
+    objective(d, X), counted as converged. Returns d, g(d), iterations,
+    converged and bracketed."""
+    a, b = res.grid[lo], res.grid[hi]
+    d, g, iterations, converged, bracketed = _brentq(
+        lambda d: res.g(d, X), a, b, *res.g_grid(np.array((lo, hi)), X),
+        cfg.tolerance, MAX_ITERATIONS)
+    if np.count_nonzero(bracketed) < bracketed.size:
+        flat = np.flatnonzero(~bracketed)
+        Xf = X[flat]
+        d_f, _, iterations[flat] = _golden(lambda d: objective(d, Xf), a[flat], b[flat],
+                                           cfg.tolerance, MAX_ITERATIONS)
+        d[flat], g[flat], converged[flat] = d_f, res.g(d_f, Xf), True
+    return d, g, iterations, converged, bracketed
 
 
 def _check_rows(X, n_ports=None):
@@ -399,24 +414,10 @@ def solve_ls(X, profile, cfg):
     bracket: the interior point is still returned, flagged converged=False.
     """
     X = _check_rows(X, profile.n_ports)
-    lo, hi = cfg.search_bracket
-    grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    res = _Residual(profile, profile.derivative, grid)
+    res = _Residual(profile, profile.derivative, np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
     fv, slack = res.scan(X, squared=True)
-    j_lo, j_hi = _cells(_exact_argmin(fv, slack, lambda r, c: res.sq_grid(c, X[r])), grid.size)
-    a, b = grid[j_lo], grid[j_hi]
-
-    d_hat, _, iterations, converged, bracketed = _brentq(
-        lambda d: res.g(d, X), a, b, *res.g_grid(np.array((j_lo, j_hi)), X),
-        cfg.tolerance, MAX_ITERATIONS)
-    flat = np.flatnonzero(~bracketed)
-    if flat.size:
-        Xf = X[flat]
-        d_f, _, evals = _golden(lambda d: res.sq(d, Xf), a[flat], b[flat],
-                                cfg.tolerance, MAX_ITERATIONS)
-        d_hat[flat] = d_f
-        iterations[flat] = evals
-        converged[flat] = True
+    j_lo, j_hi = _best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))
+    d_hat, _, iterations, converged, _ = _refine(res, X, j_lo, j_hi, res.sq, cfg)
     f_hat = res.sq(d_hat, X)
     interior_ok = f_hat <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12
     return EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
@@ -459,32 +460,35 @@ def solve_mle(X, profile, a, cfg):
             derivs = profile.dropped_term_derivative(d)
             return derivs - kap * derivs.sum(axis=1, keepdims=True)
 
-    grid = np.geomspace(lo_eff, hi, _SCAN_POINTS)
-    res = _Residual(profile, weights, grid)
+    res = _Residual(profile, weights, np.geomspace(lo_eff, hi, _SCAN_POINTS))
     gv, slack = res.scan(X)
     # where the table may give g the wrong sign, g itself decides
     exact_row, exact_cell = np.nonzero(np.abs(gv) <= slack)
     if exact_row.size:
         gv[exact_row, exact_cell] = res.g_grid(exact_cell, X[exact_row])
 
-    # every sign change holds a root, and a grid point can land exactly on
-    # one (noiseless data with a symmetric bracket does this)
+    # one bracket per candidate in scan order: each grid zero of g, each sign
+    # change, then for a row with neither the cells around its smallest |g|
+    # (|g| can have shallow distant valleys a global search would wander into)
     nonzero = gv != 0.0
     zero_row, zero_cell = np.nonzero(~nonzero)
     sign = np.signbit(gv)
     br_row, br_cell = np.nonzero(nonzero[:, :-1] & nonzero[:, 1:] & (sign[:, :-1] != sign[:, 1:]))
-    Xb = X[br_row]
-    root, g_root, its, br_conv, _ = _brentq(
-        lambda d: res.g(d, Xb), grid[br_cell], grid[br_cell + 1],
-        *res.g_grid(np.array((br_cell, br_cell + 1)), Xb), cfg.tolerance, MAX_ITERATIONS)
-    iterations = np.bincount(br_row, weights=its, minlength=rows).astype(np.int64)
-
-    # candidate roots per row, grid zeros first, in scan order
     cand_row = np.concatenate([zero_row, br_row])
-    cand_d = np.concatenate([grid[zero_cell], root])
-    cand_g = np.concatenate([np.zeros(zero_row.size), g_root])
-    cand_conv = np.concatenate([np.ones(zero_row.size, dtype=bool), br_conv])
+    j_lo = np.concatenate([zero_cell, br_cell])
+    j_hi = np.concatenate([zero_cell, br_cell + 1])
     n_roots = np.bincount(cand_row, minlength=rows)
+    if np.count_nonzero(n_roots) < rows:
+        lost = np.flatnonzero(n_roots == 0)
+        best_lo, best_hi = _best_cells(np.abs(gv[lost]), slack[lost],
+                                       lambda r, c: np.abs(res.g_grid(c, X[lost[r]])))
+        cand_row, j_lo, j_hi = (np.concatenate(p) for p in
+                                ((cand_row, lost), (j_lo, best_lo), (j_hi, best_hi)))
+    cand_d, cand_g, its, cand_conv, bracketed = _refine(
+        res, X[cand_row], j_lo, j_hi, lambda d, Xc: np.abs(res.g(d, Xc)), cfg)
+    cand_conv &= bracketed  # a row without a root is not converged
+    iterations = np.bincount(cand_row, weights=its, minlength=rows).astype(np.int64)
+
     if n_roots.max(initial=0) > 1:
         multi = np.flatnonzero(n_roots > 1)
         near = np.zeros(rows)
@@ -502,20 +506,6 @@ def solve_mle(X, profile, a, cfg):
     d_hat[cand_row] = cand_d
     objective[cand_row] = cand_g
     converged[cand_row] = cand_conv
-
-    # no bracketable root: polish |g| near the best scan point only; |g| can
-    # have shallow distant valleys a global search would wander into
-    lost = np.flatnonzero(n_roots == 0)
-    if lost.size:
-        Xl = X[lost]
-        j_lo, j_hi = _cells(_exact_argmin(np.abs(gv[lost]), slack[lost],
-                                          lambda r, c: np.abs(res.g_grid(c, Xl[r]))),
-                            grid.size)
-        d_l, _, evals = _golden(lambda d: np.abs(res.g(d, Xl)), grid[j_lo], grid[j_hi],
-                                cfg.tolerance, MAX_ITERATIONS)
-        d_hat[lost] = d_l
-        objective[lost] = res.g(d_l, Xl)
-        iterations[lost] += evals
     return EstimateBatch(d_hat=d_hat, converged=converged, iterations=iterations,
                          objective_value=objective)
 

@@ -52,7 +52,8 @@ from . import __version__
 from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
                       average_mu_squared, build_covariance, standard_normal_rows)
 from .estimators import EstimateBatch, EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
-from .forward_model import FAR_FIELD_RATIO, SNR_CONVENTION, RssiProfile, Scene, snr_to_sigma2
+from .forward_model import (FAR_FIELD_RATIO, SNR_CONVENTION, RssiProfile, Scene, in_near_field,
+                            snr_to_sigma2)
 
 NMSE_CONVENTION = ("nmse_db = 10*log10(mean(((d_hat - d_true)/d_true)^2)); "
                    "stderr: leave-one-out jackknife in dB")
@@ -344,7 +345,7 @@ def _group_contexts(spec):
                    "one": (FasLayout(1, 0.0, spec.wavelength, "endpoint"),
                            CorrelationModel.INDEPENDENT)}
         vectors = {name: v for name, v in vectors.items() if name in read}
-        if read - {"one"} and scene.distance < FAR_FIELD_RATIO * layout.span_m:
+        if read - {"one"} and in_near_field(layout, scene.distance):
             near += [float(spec.axis_values[i]) for i, _ in members]
         means = {name: scene.profile(lay).at(scene.distance)
                  for name, (lay, _) in vectors.items()}

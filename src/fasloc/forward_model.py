@@ -164,10 +164,15 @@ def snr_to_sigma2(snr_db):
     return sigma2
 
 
+def in_near_field(layout, distance):
+    """Whether ``distance`` is below FAR_FIELD_RATIO port spans of a port
+    sweep, where the equal-mean-power approximation degrades."""
+    return layout.n_ports > 1 and distance < FAR_FIELD_RATIO * layout.span_m
+
+
 def warn_near_field(layout, scene):
-    """Warn when the transmitter is closer than FAR_FIELD_RATIO port spans,
-    where the equal-mean-power approximation degrades."""
-    if layout.n_ports > 1 and scene.distance < FAR_FIELD_RATIO * layout.span_m:
+    """Warn when the transmitter is in the near field of ``layout``."""
+    if in_near_field(layout, scene.distance):
         warnings.warn(
             f"transmitter distance {scene.distance:.3g} m is less than "
             f"{FAR_FIELD_RATIO:.0f}x the port span {layout.span_m:.3g} m; "

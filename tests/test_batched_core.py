@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,6 +208,29 @@ def test_brentq_port_reproduces_scipy_row_by_row(scale):
     np.testing.assert_array_equal(g_got[bracketed], f(got)[bracketed])
 
 
+def test_brentq_stops_with_its_last_bracket():
+    # no f evaluation after the step in which the last running row stops:
+    # iteration k evaluates f only when some row goes on to iteration k + 1
+    rng = np.random.default_rng(4)
+    root = rng.uniform(-1.0, 1.0, 300)
+    xa, xb = root - rng.uniform(0.01, 2.0, 300), root + rng.uniform(0.01, 2.0, 300)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.tanh(x - root) + 0.3 * (x - root) ** 3
+
+    fa, fb = f(xa), f(xb)
+    calls.clear()
+    _, _, its, conv, _ = estimators._brentq(f, xa, xb, fa, fb, 1e-9, 200)
+    assert conv.all() and its.max() > 2
+    assert len(calls) == its.max() - 1
+    # a batch with no running row evaluates nothing
+    calls.clear()
+    estimators._brentq(f, xa, xb, fa, fa, 1e-9, 200)
+    assert not calls
+
+
 def test_a_lone_bracket_keeps_the_bits_of_its_row_on_signed_zeros_and_nans():
     # the array port compares sign bits, so a negative nan counts as negative
     # and a function value of -0.0 as zero; end values and function values
@@ -304,11 +328,30 @@ def _point(name):
     return spec, ctx, j
 
 
+def _mixed_batch():
+    """Readings and a solver context for one batch that holds every kind of
+    weighted-ML row: grid zeros of g (noiseless rows at grid points), rows
+    at the rounding edge, and readings far from any model profile, which
+    give g several roots or none. The bracket starts above the weights'
+    pole, so both solvers scan one grid."""
+    lay = FasLayout(3, 7.6, 0.125, spacing="index")
+    profile = RssiProfile(lay, 0.43, 3.14557575653044e-4, 2.0)
+    cfg = EstimatorConfig(search_bracket=(4.0, 200.0))
+    assert profile.pole < cfg.search_bracket[0]
+    grid = np.geomspace(*cfg.search_bracket, _SCAN_POINTS)
+    X = np.vstack([_edge_rows(profile, grid), profile.at(grid),
+                   np.random.default_rng(1).uniform(-90.0, -30.0, size=(200, 3))])
+    return X, SimpleNamespace(profile=profile, a_coeff=0.0, cfg=cfg)
+
+
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
-@pytest.mark.parametrize("point", sorted(POINTS))
+@pytest.mark.parametrize("point", sorted(POINTS) + ["mixed_n3"])
 def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
-    spec, ctx, j = _point(point)
-    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
+    if point == "mixed_n3":
+        X, ctx = _mixed_batch()
+    else:
+        spec, ctx, j = _point(point)
+        X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
     whole = SOLVERS[solver](X, ctx)
     for k in range(X.shape[0]):
         alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)

@@ -748,6 +748,26 @@ def test_inspect_prints_the_pinned_json(case):
     assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_SHA256[case]
 
 
+@pytest.mark.parametrize("model, spacing, decompositions",
+                         [("average-mu", "index", 1), ("jakes", "endpoint", 2)])
+def test_inspect_decomposes_again_only_a_repaired_matrix(monkeypatch, model, spacing,
+                                                         decompositions):
+    # an unrepaired matrix prints the eigenvalues of its PSD check
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rc, out = call_cli(["inspect", "--n-ports", "12", "--aperture", "0.3", "--model", model,
+                        "--spacing", spacing])
+    assert rc == 0
+    assert json.loads(out)["regularized"] is (decompositions == 2)
+    assert calls == [(12, 12)] * decompositions
+
+
 def test_inspect_defaults_print_the_pinned_json():
     rc, out = call_cli(["inspect", "--n-ports", "12", "--aperture", "0.5"])
     assert rc == 0

@@ -250,6 +250,10 @@ def test_mle_without_root_reports_non_convergence():
     est = mle(X, lay, scene, a, cfg)
     assert not est.converged[0]
     assert 50.0 <= est.d_hat[0] <= 200.0
+    # its objective value is g at the estimate
+    b, _ = weights(lay, a, est.d_hat[0], scene.bearing)
+    g = float(b @ (X[0] - scene.profile(lay).at(est.d_hat[0])))
+    assert est.objective_value[0] == pytest.approx(g, rel=1e-12)
 
 
 def test_mle_frozen_weights_mode():
