@@ -144,6 +144,10 @@ def _cmd_reproduce(args):
                      out.with_name(out.stem + f"_h{h:g}".replace(".", "p") + out.suffix))
                     for h in (0.05, 0.01)]
 
+    clash = [str(path) for _, path in runs if args.json and path.with_suffix(".json") == path]
+    if clash:
+        _info(f"error: --json would overwrite {', '.join(clash)} with its JSON twin")
+        return EXIT_INPUT
     for spec, path in runs:
         table = run_experiment(spec, workers=args.workers)
         _write_table(table, path, args.json)

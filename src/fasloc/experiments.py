@@ -5,9 +5,9 @@ count, seed) and produces a ResultTable of NMSE-in-dB rows per estimator,
 with a leave-one-out jackknife standard error. Every trial has its own
 counter-based Philox stream, keyed by (base_seed, axis_index, trial), so
 results are byte-identical regardless of worker count or scheduling. The
-keys of all trials of an axis point are derived in one vectorised pass
-(channel.philox_keys) and one generator is re-keyed per trial, which draws
-exactly what a fresh ``rng_from_seed`` per trial would.
+keys of a chunk's trials, at every axis point of the sweep, are derived in
+one vectorised pass (channel.philox_keys) and one generator is re-keyed per
+trial, which draws exactly what a fresh ``rng_from_seed`` per trial would.
 
 Paired-draw discipline: at a given (axis value, trial) all estimators consume
 measurement vectors built from the same block of underlying standard normals.
@@ -41,6 +41,7 @@ Baselines in a trial:
 import hashlib
 import json
 import math
+import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
-                      average_mu_squared, build_covariance, standard_normal_rows)
+                      average_mu_squared, build_covariance, philox_keys, standard_normal_rows)
 from .estimators import EstimateBatch, EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
 from .forward_model import (FAR_FIELD_RATIO, SNR_CONVENTION, RssiProfile, Scene, in_near_field,
                             snr_to_sigma2)
@@ -245,7 +246,7 @@ class ResultTable:
 
     def to_json_string(self):
         """Strict JSON: a row that excluded every trial has nmse_db null."""
-        rows = [{**asdict(r), "nmse_db": None if math.isnan(r.nmse_db) else r.nmse_db}
+        rows = [{**vars(r), "nmse_db": None if math.isnan(r.nmse_db) else r.nmse_db}
                 for r in self.rows]
         payload = {"meta": self.meta, "rows": rows}
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -366,21 +367,20 @@ def _group_contexts(spec):
     return ctxs
 
 
-def _simulate(ctx, axis_index, factors, t_lo, t_hi):
-    """Measurement rows of trials [t_lo, t_hi) of one point and their digests.
+def _simulate(ctx, factors, keys):
+    """Measurement rows of one point's trials and their digests.
 
-    Each trial's normals are one row of an (n_trials, N) block drawn in one
-    pass: the trial keys come from channel.philox_keys and one re-keyed
-    generator fills the rows, so row t is exactly what
-    ``rng_from_seed((base_seed, axis_index, t))`` draws. Every vector of a
-    trial is its noiseless profile plus the row times the vector's
-    covariance factor (the one-port reading uses the row's first normal).
-    The product is stacked per row, (T, 1, k) @ (k, k), which gives the same
-    bits as channel.sample_fading's (1, k) @ (k, k) per trial. A trial's
-    digest hashes its vectors in order, one row of their concatenation.
+    ``keys`` holds the trials' Philox keys, one row each: the key of trial t
+    at axis index j is that of ``rng_from_seed((base_seed, j, t))``, and one
+    re-keyed generator draws each trial's row of an (n_trials, N) block of
+    normals (channel.standard_normal_rows). Every vector of a trial is its
+    noiseless profile plus the row times the vector's covariance factor (the
+    one-port reading uses the row's first normal). The product is stacked
+    per row, (T, 1, k) @ (k, k), which gives the same bits as
+    channel.sample_fading's (1, k) @ (k, k) per trial. A trial's digest
+    hashes its vectors in order, one row of their concatenation.
     """
-    z = standard_normal_rows((ctx.base_seed, axis_index), np.arange(t_lo, t_hi),
-                             ctx.profile.n_ports)
+    z = standard_normal_rows(keys, ctx.profile.n_ports)
     rows = {}
     for name, factor in factors.items():
         k = factor.shape[0]
@@ -403,11 +403,21 @@ _SOLVERS = {
 _BLOCK_READINGS = 2 ** 16
 
 
-def _run_trials(ctx, t_lo, t_hi):
-    """Per point, {estimator: EstimateBatch} and digests of trials [t_lo, t_hi).
-    Each solver runs on the stacked rows of every point and estimator using it,
-    in blocks of at most _BLOCK_READINGS readings (each row is solved alone)."""
-    sims = [_simulate(ctx, *point, t_lo, t_hi) for point in ctx.points]
+def _run_trials(ctxs, t_lo, t_hi):
+    """Per axis point of the groups ``ctxs``, in order, {estimator:
+    EstimateBatch} and digests of trials [t_lo, t_hi). The keys of every
+    (axis index, trial) pair come from one philox_keys pass."""
+    axis = [axis_index for ctx in ctxs for axis_index, _ in ctx.points]
+    tails = np.stack(np.meshgrid(axis, np.arange(t_lo, t_hi), indexing="ij"), axis=-1)
+    keys = iter(np.split(philox_keys(ctxs[0].base_seed, tails.reshape(-1, 2)), len(axis)))
+    return [part for ctx in ctxs for part in _solve_group(
+        ctx, [_simulate(ctx, factors, next(keys)) for _, factors in ctx.points])]
+
+
+def _solve_group(ctx, sims):
+    """Per point of one group, {estimator: EstimateBatch} and digests of its
+    trials. Each solver runs on the stacked rows of every point and estimator
+    using it, in blocks of at most _BLOCK_READINGS readings (rows solve alone)."""
     by_solver = {}
     for est in ctx.estimators:
         by_solver.setdefault(METHODS[est][1], []).append(est)
@@ -449,27 +459,29 @@ def _reduce_point(spec, axis_value, ctx, parts):
 def run_experiment(spec, workers=1):
     """Execute the sweep and return its ResultTable.
 
-    Trials are independent work items, run per solve group (an SNR sweep is
-    one group, each point of an aperture or port-count sweep its own) in
-    ``workers`` chunks by trial index: through ``map``, or with ``workers > 1``
-    one process pool's ``map`` for the whole sweep; chunks reduce in order.
-    Every estimator result depends on its own trial alone, so the table bytes
-    do not depend on the worker count.
+    Trials are independent work items, run in ``workers`` chunks by trial
+    index, each over every solve group (an SNR sweep is one group, each point
+    of an aperture or port-count sweep its own): through ``map``, or with
+    ``workers > 1`` a process pool's ``map`` of at most ``os.cpu_count()``
+    processes; chunks reduce in order. Every estimator result depends on its
+    own trial alone, so the table bytes do not depend on the worker count.
     """
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1).astype(int).tolist()
+    ctxs = _group_contexts(spec)
     pool, run = nullcontext(), map
     if workers > 1:  # imported only here: the pool's modules are slow to load
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # a pool forks all its processes at the first submit
+        pool = ProcessPoolExecutor(max_workers=min(len(bounds) - 1, os.cpu_count() or 1))
         run = pool.map
-    rows = []  # groups are runs of consecutive axis points
     with pool:
-        for ctx in _group_contexts(spec):
-            chunks = list(run(_run_trials, [ctx] * (len(bounds) - 1), bounds[:-1], bounds[1:]))
-            for (axis_index, _), *parts in zip(ctx.points, *chunks):
-                rows.extend(_reduce_point(spec, spec.axis_values[axis_index], ctx, parts))
+        chunks = list(run(_run_trials, [ctxs] * (len(bounds) - 1), bounds[:-1], bounds[1:]))
+    points = [(ctx, axis_index) for ctx in ctxs for axis_index, _ in ctx.points]
+    rows = []  # groups are runs of consecutive axis points
+    for (ctx, axis_index), *parts in zip(points, *chunks):
+        rows.extend(_reduce_point(spec, spec.axis_values[axis_index], ctx, parts))
 
     meta = {
         "version": __version__,

@@ -23,7 +23,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 import fasloc
 from fasloc import estimators, experiments
-from fasloc.channel import CorrelationModel, FasLayout, build_covariance
+from fasloc.channel import CorrelationModel, FasLayout, build_covariance, philox_keys
 from fasloc.estimators import (_SCAN_POINTS, MAX_ITERATIONS, EstimatorConfig,
                                kappa_constant, solve_ls, solve_mle)
 from fasloc.experiments import fig2_spec, fig3_spec
@@ -112,6 +112,13 @@ def _group(spec, axis_index):
         ctxs = experiments._group_contexts(spec)
     return next((ctx, j) for ctx in ctxs for j, (i, _) in enumerate(ctx.points)
                 if i == axis_index)
+
+
+def _fas_rows(spec, ctx, j):
+    """The correlated-port readings of every trial of the group's j-th point."""
+    axis_index, factors = ctx.points[j]
+    keys = philox_keys((spec.base_seed, axis_index), np.arange(spec.trials))
+    return experiments._simulate(ctx, factors, keys)[0]["fas"]
 
 
 def ref_point(spec, axis_index):
@@ -257,7 +264,7 @@ def test_a_lone_bracket_keeps_the_bits_of_its_row_on_signed_zeros_and_nans():
 def _compare(spec):
     worst = {}
     for ctx in experiments._group_contexts(spec):
-        results = experiments._run_trials(ctx, 0, spec.trials)
+        results = experiments._run_trials([ctx], 0, spec.trials)
         for (axis_index, _), (got, digests) in zip(ctx.points, results):
             ref, ref_digests = ref_point(spec, axis_index)
             assert digests == ref_digests
@@ -296,9 +303,9 @@ def test_batch_results_do_not_depend_on_the_split():
     spec = fig2_spec(base_seed=9, trials=100)
     ctx, _ = _group(spec, 0)
     assert [i for i, _ in ctx.points] == list(range(7))
-    whole = experiments._run_trials(ctx, 0, 100)
-    head = experiments._run_trials(ctx, 0, 37)
-    tail = experiments._run_trials(ctx, 37, 100)
+    whole = experiments._run_trials([ctx], 0, 100)
+    head = experiments._run_trials([ctx], 0, 37)
+    tail = experiments._run_trials([ctx], 37, 100)
     for (w, _), (h, _), (t, _) in zip(whole, head, tail):
         for est in spec.estimators:
             for field in ("d_hat", "converged", "iterations", "objective_value"):
@@ -351,7 +358,7 @@ def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
         X, ctx = _mixed_batch()
     else:
         spec, ctx, j = _point(point)
-        X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
+        X = _fas_rows(spec, ctx, j)
     whole = SOLVERS[solver](X, ctx)
     for k in range(X.shape[0]):
         alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
@@ -367,7 +374,7 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
     # the table only picks cells; this checks the table itself, on pairs of
     # rows (a row alone is scanned directly)
     spec, ctx, j = _point(point)
-    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
+    X = _fas_rows(spec, ctx, j)
     profile = ctx.profile
     res = estimators._Residual(profile, profile.derivative,
                                np.geomspace(*ctx.cfg.search_bracket, _SCAN_POINTS))
@@ -383,9 +390,9 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
 def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # the fig2 point shares its group with the other six SNRs
     spec, ctx, j = _point(point)
-    whole, whole_digests = experiments._run_trials(ctx, 0, spec.trials)[j]
+    whole, whole_digests = experiments._run_trials([ctx], 0, spec.trials)[j]
     for t in (0, 1, 50, spec.trials - 1):
-        one, digests = experiments._run_trials(ctx, t, t + 1)[j]
+        one, digests = experiments._run_trials([ctx], t, t + 1)[j]
         assert digests == whole_digests[t:t + 1]
         for est in spec.estimators:
             for field in FIELDS:
@@ -394,14 +401,15 @@ def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # run_experiment reduces a point from one chunk of trials per worker
     axis_value = spec.axis_values[POINTS[point][1]]
     bounds = (0, 1, 2, 51, 52, spec.trials)
-    parts = [experiments._run_trials(ctx, lo, hi)[j] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    parts = [experiments._run_trials([ctx], lo, hi)[j]
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert experiments._reduce_point(spec, axis_value, ctx, parts) == \
         experiments._reduce_point(spec, axis_value, ctx, [(whole, whole_digests)])
 
 
 def test_ls_scan_holds_no_rows_by_grid_by_ports_temporary():
     spec, ctx, j = _point("fig3_n100")
-    X = experiments._simulate(ctx, *ctx.points[j], 0, spec.trials)[0]["fas"]
+    X = _fas_rows(spec, ctx, j)
     block = X.shape[0] * _SCAN_POINTS * X.shape[1] * X.itemsize  # 2.52 MiB
     tracemalloc.start()
     try:

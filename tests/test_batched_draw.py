@@ -37,6 +37,13 @@ def ref_simulate(ctx, axis_index, factors, t_lo, t_hi):
     return {name: np.array(r) for name, r in rows.items()}, digests
 
 
+def simulate(ctx, point, t_lo, t_hi):
+    """experiments._simulate on trials [t_lo, t_hi) of one axis point."""
+    axis_index, factors = point
+    keys = philox_keys((ctx.base_seed, axis_index), np.arange(t_lo, t_hi))
+    return experiments._simulate(ctx, factors, keys)
+
+
 def point_context(spec, axis_index):
     """The solve-group context holding one axis point, and that point."""
     with warnings.catch_warnings():
@@ -54,6 +61,12 @@ def test_trial_keys_match_seed_sequence(base_seed):
     assert keys.shape == (40, 2) and keys.dtype == np.uint64
     for t in range(40):
         np.testing.assert_array_equal(keys[t], seed_sequence_key((3, base_seed, 0, t)))
+    # the multi-point form: rows of (axis index, trial) in one call
+    tails = [(j, t) for j in (0, 1, 18) for t in range(40)]
+    keys = philox_keys(base_seed, np.array(tails))
+    assert keys.shape == (120, 2) and keys.dtype == np.uint64
+    for key, (j, t) in zip(keys, tails):
+        np.testing.assert_array_equal(key, seed_sequence_key((3, base_seed, j, t)))
 
 
 @pytest.mark.parametrize("seed, entropy", [
@@ -97,10 +110,24 @@ def test_numpy_integer_seed_values_keep_their_streams():
 
 
 def test_normal_rows_equal_per_trial_generators():
-    z = standard_normal_rows((42, 3), np.arange(10, 60), 17)
+    z = standard_normal_rows(philox_keys((42, 3), np.arange(10, 60)), 17)
     for i, t in enumerate(range(10, 60)):
         np.testing.assert_array_equal(z[i], rng_from_seed((42, 3, t)).standard_normal(17))
-    assert standard_normal_rows((42, 3), np.arange(0), 17).shape == (0, 17)
+    assert standard_normal_rows(philox_keys((42, 3), np.arange(0)), 17).shape == (0, 17)
+
+
+def test_normal_rows_rekey_with_key_words_above_2_to_the_63():
+    # a key word >= 2**63 does not fit an int64; the re-key takes it whole
+    keys = philox_keys((7, 2), np.arange(20))
+    high = (keys >= np.uint64(2 ** 63)).any(axis=1)
+    assert high.any() and not high.all()
+    z = standard_normal_rows(keys, 9)
+    for t in range(20):
+        np.testing.assert_array_equal(z[t], rng_from_seed((7, 2, t)).standard_normal(9))
+    top = np.array([[2 ** 64 - 1, 2 ** 63], [2 ** 63, 0]], dtype=np.uint64)
+    for row, key in zip(standard_normal_rows(top, 9), top):
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(9)
+        np.testing.assert_array_equal(row, want)
 
 
 # ---------------------------------------------------------------- sweep draws
@@ -111,7 +138,7 @@ def test_normal_rows_equal_per_trial_generators():
 ])
 def test_simulate_matches_per_trial_reference(spec, axis_index):
     ctx, point = point_context(spec, axis_index)
-    rows, digests = experiments._simulate(ctx, *point, 0, 100)
+    rows, digests = simulate(ctx, point, 0, 100)
     ref_rows, ref_digests = ref_simulate(ctx, *point, 0, 100)
     assert digests == ref_digests
     assert rows.keys() == ref_rows.keys()
@@ -121,9 +148,9 @@ def test_simulate_matches_per_trial_reference(spec, axis_index):
 
 def test_simulate_chunks_give_the_same_bytes():
     ctx, point = point_context(fig3_spec(spacing_h=0.01, base_seed=4, trials=100), 18)
-    whole, whole_digests = experiments._simulate(ctx, *point, 0, 100)
-    head, head_digests = experiments._simulate(ctx, *point, 0, 37)
-    tail, tail_digests = experiments._simulate(ctx, *point, 37, 100)
+    whole, whole_digests = simulate(ctx, point, 0, 100)
+    head, head_digests = simulate(ctx, point, 0, 37)
+    tail, tail_digests = simulate(ctx, point, 37, 100)
     assert whole_digests == head_digests + tail_digests
     for name in whole:
         assert whole[name].tobytes() == np.concatenate([head[name], tail[name]]).tobytes()
@@ -132,8 +159,8 @@ def test_simulate_chunks_give_the_same_bytes():
 def test_fused_least_squares_equals_separate_solves():
     spec = fig2_spec(base_seed=13, trials=100)
     ctx, point = point_context(spec, 1)
-    got, _ = experiments._run_trials(ctx, 0, 100)[ctx.points.index(point)]
-    X, _ = experiments._simulate(ctx, *point, 0, 100)
+    got, _ = experiments._run_trials([ctx], 0, 100)[ctx.points.index(point)]
+    X, _ = simulate(ctx, point, 0, 100)
     for est, name in (("fas_ls", "fas"), ("multipoint_ls", "mp")):
         alone = solve_ls(X[name], ctx.profile, ctx.cfg)
         for field in ("d_hat", "converged", "iterations", "objective_value"):

@@ -326,6 +326,26 @@ def test_reproduce_rejects_an_snr_without_a_finite_variance_before_any_trial(
     assert "snr_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, output, clash", [
+    (("fig2", "--trials", "100", "--out", "t.json"), None, "t.json"),
+    (("fig3", "--trials", "100", "--out", "t.json"), None, "t_h0p05.json"),
+    (("--config", "sweep.json"), "t.json", "t.json"),
+], ids=["fig2-out", "fig3-derived", "config-output"])
+def test_reproduce_rejects_a_csv_path_that_is_its_json_twin_before_any_trial(
+        tmp_path, capsys, monkeypatch, argv, output, clash):
+    runs = []
+    real = experiments._run_trials
+    monkeypatch.setattr(experiments, "_run_trials", lambda *a: runs.append(a) or real(*a))
+    monkeypatch.chdir(tmp_path)
+    cfg = {"sweep_axis": "snr_db", "axis_values": [0.0, 10.0], "trials": 100,
+           "estimators": ["fas_ls"], "layout": {"n_ports": 12, "aperture": 0.5}}
+    (tmp_path / "sweep.json").write_text(json.dumps({**cfg, "output": output}))
+    assert run_cli("reproduce", *argv, "--json") == 2
+    assert runs == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "sweep.json"]
+    assert clash in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg, key", [
     ('"sweep_axis": "port_count_n", "axis_values": [4, 1e400], "snr_db": 10.0, '
      '"layout": {"aperture": 0.5}', "axis_values"),

@@ -206,11 +206,80 @@ def test_run_is_deterministic(small_table):
     assert again.to_csv_string() == small_table.to_csv_string()
 
 
-def test_workers_do_not_change_bytes(small_table):
-    # an snr_db sweep: both points are one solve group, chunked by trial
-    par = run_experiment(small_spec(), workers=2)
-    assert par.to_csv_string() == small_table.to_csv_string()
-    assert par.to_json_string() == small_table.to_json_string()
+def aperture_spec():
+    """An aperture sweep of three solve groups (N = 4, 6, 8)."""
+    return ExperimentSpec(sweep_axis="aperture_w", axis_values=(0.2, 0.3, 0.4), trials=100,
+                          base_seed=7, estimators=["fas_ls"], scene=default_scene(),
+                          snr_db=10.0, spacing_h=0.05)
+
+
+@pytest.mark.parametrize("spec, workers", [(small_spec(), 2), (aperture_spec(), 2),
+                                           (aperture_spec(), 3)],
+                         ids=["snr_db-2", "aperture_w-2", "aperture_w-3"])
+def test_workers_do_not_change_bytes(spec, workers):
+    # an snr_db sweep is one solve group, chunked by trial; every chunk of
+    # the aperture sweep spans its three groups
+    serial = run_experiment(spec)
+    par = run_experiment(spec, workers=workers)
+    assert par.to_csv_string() == serial.to_csv_string()
+    assert par.to_json_string() == serial.to_json_string()
+
+
+class InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process, so no worker process is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+@pytest.mark.parametrize("workers, cpus, size", [
+    (100000, 4, 4), (3, 16, 3), (100000, None, 1), (2, 1, 1), (500, 512, 100),
+])
+def test_the_pool_never_outgrows_the_chunks_or_the_cpus(small_table, in_process_pool,
+                                                        monkeypatch, workers, cpus, size):
+    # min(workers, chunk count, os.cpu_count() or 1); chunks stay one per worker
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    chunks = []
+    real = experiments._run_trials
+    monkeypatch.setattr(experiments, "_run_trials", lambda *a: chunks.append(a) or real(*a))
+    table = run_experiment(small_spec(), workers=workers)
+    assert in_process_pool.sizes == [size]
+    assert len(chunks) == min(workers, 100)
+    assert table.to_csv_string() == small_table.to_csv_string()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_sweep_derives_its_trial_keys_once_per_chunk(in_process_pool, monkeypatch, workers):
+    # 19 aperture points, one solve group each, and one key pass per chunk
+    import fasloc.channel as channel
+    calls = []
+    real = channel._hash_keys
+    monkeypatch.setattr(channel, "_hash_keys", lambda words: calls.append(words) or real(words))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the far-field warning
+        run_experiment(fig3_spec(spacing_h=0.05, trials=100), workers=workers)
+    assert len(calls) == workers
+    assert sum(len(words) for words in calls) == 19 * 100
 
 
 def test_estimator_rows_do_not_depend_on_companions(small_table):
