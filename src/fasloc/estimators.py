@@ -1,8 +1,10 @@
 """Distance estimators for port-swept RSSI vectors.
 
 Every estimator works on a batch: a (rows, ports) array of readings, one row
-per trial or capture, solved at once. Each row's result depends on that row
-alone, so a batch can be split anywhere without changing a bit.
+per trial or capture, solved at once. The two iterative solvers also take
+several parts, batches with their own link models, in one call. Each row's
+result depends on that row and its part's model alone, so a batch can be
+split anywhere, or solved beside other parts, without changing a bit.
 
 Three families:
 
@@ -33,22 +35,23 @@ Three families:
   inverts the log-distance model in closed form.
 
 Both solvers scan the bracket on a geometric grid and refine the brackets of
-grid cells it gives in one step, ``_refine``: Brent's root step on g where g
-changes sign over a bracket, golden-section search on the solver's objective
-where it does not. ``_brentq`` is an operation-for-operation port of scipy's
-``brentq`` in which every bracket stops on its own; a single bracket steps
-on Python floats with the same bits. The scan is one vector-matrix product
-per row on expanded inner products (a lone row is scanned directly), whose
-table only picks the cells: where its rounding could change a sign or a
-minimum, the entries are recomputed, so the cells are those a table of the
-function itself gives. Every value that reaches a refinement or a result is
-computed row by row from the residuals themselves, so it does not depend on
-how the table rounds or on which rows share a batch.
+grid cells it gives, over every part of a call, in one step, ``_refine``:
+Brent's root step on g where g changes sign over a bracket, golden-section
+search on the solver's objective where it does not. ``_brentq`` is an
+operation-for-operation port of scipy's ``brentq`` in which every bracket
+stops on its own; a single bracket steps on Python floats with the same bits.
+The scan is one vector-matrix product per row on expanded inner products (a
+lone row is scanned directly), whose table only picks the cells: where its
+rounding could change a sign or a minimum, the entries are recomputed, so the
+cells are those a table of the function itself gives. Every value that reaches
+a refinement or a result is computed row by row from the residuals themselves,
+so it does not depend on how the table rounds or on which rows share a batch.
 Every solver takes the link model it inverts as one ``RssiProfile``, which
 checks the bearing and the link constants when it is built; the solvers
 check the readings and, through the scan, the model on the bracket.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,13 +94,6 @@ class EstimateBatch:
     converged: np.ndarray
     iterations: np.ndarray
     objective_value: np.ndarray
-
-    def split(self, parts):
-        """The batch cut into ``parts`` equal blocks of consecutive rows."""
-        columns = (self.d_hat, self.converged, self.iterations, self.objective_value)
-        size = len(self.d_hat) // parts
-        return [EstimateBatch(*(c[i * size:(i + 1) * size] for c in columns))
-                for i in range(parts)]
 
 
 def kappa_constant(a, n_ports):
@@ -195,7 +191,11 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     maps an array of abscissae to the array of values, row by row; fa and
     fb are its values at the bracket ends, which the solvers take from the
     model and weights on the grid with the same arithmetic. A row whose
-    endpoint values share a sign is not solved (``bracketed`` False).
+    endpoint values share a sign is not solved (``bracketed`` False). All
+    rows step in lockstep: one that has stopped, or has no sign change,
+    steps on inside its own bracket, where f is defined, until the last row
+    stops (in a call of several parts, maybe one of another part). Nothing
+    it computes is read again and no step mixes rows, so this moves no bit.
     Returns (root, f(root), iterations, converged, bracketed). A single
     bracket, a one-row estimate, is stepped on Python floats instead by
     ``_brentq_one``: the same operations in the same order, so the same bits.
@@ -213,12 +213,10 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     iterations = np.zeros(xcur.shape, dtype=np.int64)
     xblk, fblk = xpre.copy(), fpre.copy()
     spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
-    # All rows step in lockstep. A row that has stopped, or has no sign
-    # change, keeps stepping inside its own bracket, where f is defined, and
-    # nothing it computes is read again. For a running row the sign test
-    # below needs no zero checks: its fpre is never 0, and when fcur is 0
-    # the row stops in this iteration with the same root either way. Each
-    # masked update is skipped when no row takes it.
+    # For a running row the sign test below needs no zero checks: its fpre
+    # is never 0, and when fcur is 0 the row stops in this iteration with
+    # the same root either way. Each masked update is skipped when no row
+    # takes it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, maxiter + 1):
             flip = np.signbit(fpre) != np.signbit(fcur)
@@ -370,23 +368,44 @@ def _best_cells(table, slack, exact):
     return np.maximum(j - 1, 0), np.minimum(j + 1, table.shape[1] - 1)
 
 
-def _refine(res, X, lo, hi, objective, cfg):
-    """One bracket per row of X, grid point lo to hi of ``res``, refined by
-    Brent's method on g where g changes sign on it (a grid zero, lo == hi,
-    is its own root after 0 iterations), else by golden-section search on
-    objective(d, X), counted as converged. Returns d, g(d), iterations,
-    converged and bracketed."""
-    a, b = res.grid[lo], res.grid[hi]
-    d, g, iterations, converged, bracketed = _brentq(
-        lambda d: res.g(d, X), a, b, *res.g_grid(np.array((lo, hi)), X),
-        cfg.tolerance, MAX_ITERATIONS)
+def _join(arrays, axis=0):
+    """The arrays concatenated; a lone array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _by_part(fn, parts, cuts, d):
+    """fn(res, d[i:j], X) for each part (res, X, ...) with rows i:j of d, joined."""
+    if len(parts) == 1:
+        return fn(parts[0][0], d, parts[0][1])
+    return _join([fn(res, d[i:j], X) for (res, X, *_), i, j in zip(parts, cuts, cuts[1:])
+                  if j > i])
+
+
+def _refine(parts, objective, cfg):
+    """One bracket per row of X for each part (res, X, lo, hi), grid point
+    lo to hi of the part's ``res``, refined by Brent's method on g where g
+    changes sign on it (a grid zero, lo == hi, is its own root after 0
+    iterations), else by golden-section search on objective(res, d, X),
+    counted as converged. The brackets of all parts step together in one
+    ``_brentq`` and one ``_golden``, which evaluate g and the objective part
+    by part. A row that has stopped steps on, unread, until the last row of
+    the call stops (see ``_brentq``), so each part gets the bits it gets
+    alone. Returns, per part, d, g(d), iterations, converged and bracketed."""
+    cuts = [0, *itertools.accumulate(len(X) for _, X, _, _ in parts)]
+    a = _join([res.grid[lo] for res, _, lo, _ in parts])
+    b = _join([res.grid[hi] for res, _, _, hi in parts])
+    ends = _join([res.g_grid(np.array((lo, hi)), X) for res, X, lo, hi in parts], axis=1)
+    d, g, iterations, converged, bracketed = out = _brentq(
+        lambda d: _by_part(_Residual.g, parts, cuts, d), a, b, *ends, cfg.tolerance,
+        MAX_ITERATIONS)
     if np.count_nonzero(bracketed) < bracketed.size:
         flat = np.flatnonzero(~bracketed)
-        Xf = X[flat]
-        d_f, _, iterations[flat] = _golden(lambda d: objective(d, Xf), a[flat], b[flat],
-                                           cfg.tolerance, MAX_ITERATIONS)
-        d[flat], g[flat], converged[flat] = d_f, res.g(d_f, Xf), True
-    return d, g, iterations, converged, bracketed
+        at = np.searchsorted(flat, cuts).tolist()  # each part's rows of flat
+        sub = [(res, X[flat[k:m] - i]) for (res, X, _, _), i, k, m in zip(parts, cuts, at, at[1:])]
+        d_f, _, iterations[flat] = _golden(lambda d: _by_part(objective, sub, at, d), a[flat],
+                                           b[flat], cfg.tolerance, MAX_ITERATIONS)
+        d[flat], g[flat], converged[flat] = d_f, _by_part(_Residual.g, sub, at, d_f), True
+    return [out] if len(parts) == 1 else [[v[i:j] for v in out] for i, j in zip(cuts, cuts[1:])]
 
 
 def _check_rows(X, n_ports=None):
@@ -413,15 +432,26 @@ def solve_ls(X, profile, cfg):
     endpoint beats that minimum the objective was not unimodal on the
     bracket: the interior point is still returned, flagged converged=False.
     """
-    X = _check_rows(X, profile.n_ports)
-    res = _Residual(profile, profile.derivative, np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
-    fv, slack = res.scan(X, squared=True)
-    j_lo, j_hi = _best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))
-    d_hat, _, iterations, converged, _ = _refine(res, X, j_lo, j_hi, res.sq, cfg)
-    f_hat = res.sq(d_hat, X)
-    interior_ok = f_hat <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12
-    return EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
-                         iterations=iterations, objective_value=f_hat)
+    return _solve_ls([(X, profile)], cfg)[0]
+
+
+def _solve_ls(parts, cfg):
+    """``solve_ls`` on each part (X, profile): one EstimateBatch per part."""
+    grid = np.geomspace(*cfg.search_bracket, _SCAN_POINTS)
+    jobs = []
+    for X, profile in parts:
+        X = _check_rows(X, profile.n_ports)
+        res = _Residual(profile, profile.derivative, grid)
+        fv, slack = res.scan(X, squared=True)
+        jobs.append((res, X, *_best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))))
+    out = []
+    for (res, X, _, _), (d_hat, _, iterations, converged, _) in zip(
+            jobs, _refine(jobs, _Residual.sq, cfg)):
+        f_hat = res.sq(d_hat, X)
+        interior_ok = f_hat <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12
+        out.append(EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
+                                 iterations=iterations, objective_value=f_hat))
+    return out
 
 
 def solve_mle(X, profile, a, cfg):
@@ -436,6 +466,43 @@ def solve_mle(X, profile, a, cfg):
     the two cells around the best scan point is returned with
     converged=False.
     """
+    return _solve_mle([(X, profile, a)], cfg)[0]
+
+
+def _solve_mle(parts, cfg):
+    """``solve_mle`` on each part (X, profile, a): one EstimateBatch per part."""
+    scans = [_mle_candidates(X, profile, a, cfg) for X, profile, a in parts]
+    out = []
+    for (res, X, cand_row, n_roots, _), (cand_d, cand_g, its, cand_conv, bracketed) in zip(
+            scans, _refine([scan[-1] for scan in scans], lambda res, d, X: np.abs(res.g(d, X)),
+                           cfg)):
+        rows = X.shape[0]
+        cand_conv &= bracketed  # a row without a root is not converged
+        iterations = np.bincount(cand_row, weights=its, minlength=rows).astype(np.int64)
+        if n_roots.max(initial=0) > 1:
+            multi = np.flatnonzero(n_roots > 1)
+            near = np.zeros(rows)
+            near[multi] = solve_ls(X[multi], res.profile, cfg).d_hat
+            # per row, the candidate nearest the anchor; the earliest on a tie
+            order = np.lexsort((np.arange(cand_row.size), np.abs(cand_d - near[cand_row]),
+                                cand_row))
+            order = order[np.concatenate(([True], cand_row[order][1:] != cand_row[order][:-1]))]
+            cand_row, cand_d, cand_g, cand_conv = (cand_row[order], cand_d[order],
+                                                   cand_g[order], cand_conv[order])
+
+        d_hat = np.empty(rows)
+        objective = np.empty(rows)
+        converged = np.zeros(rows, dtype=bool)
+        d_hat[cand_row] = cand_d
+        objective[cand_row] = cand_g
+        converged[cand_row] = cand_conv
+        out.append(EstimateBatch(d_hat=d_hat, converged=converged, iterations=iterations,
+                                 objective_value=objective))
+    return out
+
+
+def _mle_candidates(X, profile, a, cfg):
+    """The scan and the candidate brackets of ``solve_mle`` on one part."""
     kap = kappa_constant(a, profile.n_ports)
     X = _check_rows(X, profile.n_ports)
     rows = X.shape[0]
@@ -484,30 +551,7 @@ def solve_mle(X, profile, a, cfg):
                                        lambda r, c: np.abs(res.g_grid(c, X[lost[r]])))
         cand_row, j_lo, j_hi = (np.concatenate(p) for p in
                                 ((cand_row, lost), (j_lo, best_lo), (j_hi, best_hi)))
-    cand_d, cand_g, its, cand_conv, bracketed = _refine(
-        res, X[cand_row], j_lo, j_hi, lambda d, Xc: np.abs(res.g(d, Xc)), cfg)
-    cand_conv &= bracketed  # a row without a root is not converged
-    iterations = np.bincount(cand_row, weights=its, minlength=rows).astype(np.int64)
-
-    if n_roots.max(initial=0) > 1:
-        multi = np.flatnonzero(n_roots > 1)
-        near = np.zeros(rows)
-        near[multi] = solve_ls(X[multi], profile, cfg).d_hat
-        # per row, the candidate nearest the anchor; the earliest on a tie
-        order = np.lexsort((np.arange(cand_row.size), np.abs(cand_d - near[cand_row]),
-                            cand_row))
-        order = order[np.concatenate(([True], cand_row[order][1:] != cand_row[order][:-1]))]
-        cand_row, cand_d, cand_g, cand_conv = (cand_row[order], cand_d[order],
-                                               cand_g[order], cand_conv[order])
-
-    d_hat = np.empty(rows)
-    objective = np.empty(rows)
-    converged = np.zeros(rows, dtype=bool)
-    d_hat[cand_row] = cand_d
-    objective[cand_row] = cand_g
-    converged[cand_row] = cand_conv
-    return EstimateBatch(d_hat=d_hat, converged=converged, iterations=iterations,
-                         objective_value=objective)
+    return res, X, cand_row, n_roots, (res, X[cand_row], j_lo, j_hi)
 
 
 def solve_single_antenna(X, profile):

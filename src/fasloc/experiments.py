@@ -17,10 +17,13 @@ channel.sample_fading), and both fluid-antenna estimators receive literally
 the same row. A digest of the trial's simulated vectors is recorded so
 reproducibility is checkable from the output alone.
 
-Axis points with equal layouts form one solve group: an SNR sweep is one.
-A solver runs over the stacked rows of all of a group's points and of its
-estimators, in blocks of at most _BLOCK_READINGS readings (see estimators:
-every row is solved on its own, so blocks and worker chunks change no bit).
+Axis points with equal layouts form one solve group: an SNR sweep is one,
+each point of an aperture or port-count sweep its own. Consecutive groups
+whose readings fit in _BLOCK_READINGS together are drawn and solved as one
+set: each solver runs once over the stacked rows of all their points and
+estimators, one part per group (see estimators: every row is solved on its
+own, so sets, blocks and worker chunks change no bit). A larger group is a
+set of its own, solved in blocks of at most _BLOCK_READINGS readings.
 
 Baselines in a trial:
 
@@ -52,7 +55,8 @@ import numpy as np
 from . import __version__
 from .channel import (SPACING_NOTE, CorrelationModel, FasLayout, _check_real,
                       average_mu_squared, build_covariance, philox_keys, standard_normal_rows)
-from .estimators import EstimateBatch, EstimatorConfig, solve_ls, solve_mle, solve_single_antenna
+from .estimators import (EstimateBatch, EstimatorConfig, _join, _solve_ls, _solve_mle,
+                         solve_single_antenna)
 from .forward_model import (FAR_FIELD_RATIO, SNR_CONVENTION, RssiProfile, Scene, in_near_field,
                             snr_to_sigma2)
 
@@ -300,11 +304,11 @@ def nmse_db(estimates, d_true):
 
 @dataclass
 class _GroupContext:
-    """Everything a solve group's trials need; picklable for workers. The
-    group's axis points have equal layouts, so one ``profile`` (the link model
-    the solvers invert) and one ``means`` (the noiseless profile of each vector
-    the estimators read, see ``METHODS``) serve all of them. ``points`` holds
-    each point's axis index and covariance factor of each vector."""
+    """Everything a solve group's trials need; picklable for workers. Its axis
+    points have equal layouts, so one ``profile`` (the link model of the
+    group's part in each solver call of its set) and one ``means`` (the
+    noiseless profile of each vector the estimators read, see ``METHODS``)
+    serve all of them. ``points``: axis index and vector covariance factors."""
 
     base_seed: int
     estimators: Sequence[str]
@@ -368,7 +372,7 @@ def _group_contexts(spec):
 
 
 def _simulate(ctx, factors, keys):
-    """Measurement rows of one point's trials and their digests.
+    """Measurement rows of one point's trials and their digests, joined.
 
     ``keys`` holds the trials' Philox keys, one row each: the key of trial t
     at axis index j is that of ``rng_from_seed((base_seed, j, t))``, and one
@@ -378,7 +382,8 @@ def _simulate(ctx, factors, keys):
     one-port reading uses the row's first normal). The product is stacked
     per row, (T, 1, k) @ (k, k), which gives the same bits as
     channel.sample_fading's (1, k) @ (k, k) per trial. A trial's digest
-    hashes its vectors in order, one row of their concatenation.
+    hashes its vectors in order, one row of their concatenation; the
+    trials' 16-character digests come back as one string, in trial order.
     """
     z = standard_normal_rows(keys, ctx.profile.n_ports)
     rows = {}
@@ -386,16 +391,15 @@ def _simulate(ctx, factors, keys):
         k = factor.shape[0]
         rows[name] = ctx.means[name] + (z[:, np.newaxis, :k] @ factor.T)[:, 0, :]
     joined = np.concatenate(list(rows.values()), axis=1)
-    digests = [hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in joined]
-    return rows, digests
+    return rows, "".join([hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in joined])
 
 
-# Solver name -> solve(rows, group context). The single antenna reads the
-# one reading of the group's static draw.
+# Solver name -> solve(parts): one EstimateBatch per part (rows, group
+# context). The single antenna reads the one reading of the group's draw.
 _SOLVERS = {
-    "mle": lambda X, c: solve_mle(X, c.profile, c.a_coeff, c.cfg),
-    "ls": lambda X, c: solve_ls(X, c.profile, c.cfg),
-    "single": lambda X, c: solve_single_antenna(X, c.profile),
+    "mle": lambda parts: _solve_mle([(X, c.profile, c.a_coeff) for X, c in parts], parts[0][1].cfg),
+    "ls": lambda parts: _solve_ls([(X, c.profile) for X, c in parts], parts[0][1].cfg),
+    "single": lambda parts: [solve_single_antenna(X, c.profile) for X, c in parts],
 }
 
 # Most readings (rows x ports) per solver call: small calls pay per-call
@@ -405,39 +409,51 @@ _BLOCK_READINGS = 2 ** 16
 
 def _run_trials(ctxs, t_lo, t_hi):
     """Per axis point of the groups ``ctxs``, in order, {estimator:
-    EstimateBatch} and digests of trials [t_lo, t_hi). The keys of every
-    (axis index, trial) pair come from one philox_keys pass."""
+    EstimateBatch} and the joined digests of trials [t_lo, t_hi). The keys
+    of every (axis index, trial) pair come from one philox_keys pass; each
+    set of groups (see the module docstring) is drawn, then solved."""
     axis = [axis_index for ctx in ctxs for axis_index, _ in ctx.points]
     tails = np.stack(np.meshgrid(axis, np.arange(t_lo, t_hi), indexing="ij"), axis=-1)
     keys = iter(np.split(philox_keys(ctxs[0].base_seed, tails.reshape(-1, 2)), len(axis)))
-    return [part for ctx in ctxs for part in _solve_group(
-        ctx, [_simulate(ctx, factors, next(keys)) for _, factors in ctx.points])]
-
-
-def _solve_group(ctx, sims):
-    """Per point of one group, {estimator: EstimateBatch} and digests of its
-    trials. Each solver runs on the stacked rows of every point and estimator
-    using it, in blocks of at most _BLOCK_READINGS readings (rows solve alone)."""
+    n_trials = t_hi - t_lo
     by_solver = {}
-    for est in ctx.estimators:
+    for est in ctxs[0].estimators:
         by_solver.setdefault(METHODS[est][1], []).append(est)
-    out = [{} for _ in sims]
-    for solver, ests in by_solver.items():
-        X = np.concatenate([rows[METHODS[est][0]] for rows, _ in sims for est in ests])
-        step = max(1, _BLOCK_READINGS // X.shape[1])
-        blocks = [_SOLVERS[solver](X[i:i + step], ctx) for i in range(0, len(X), step)]
-        stacked = EstimateBatch(*map(np.concatenate, zip(*(vars(b).values() for b in blocks))))
-        parts = iter(stacked.split(len(sims) * len(ests)))
-        for point_out in out:
-            point_out.update(zip(ests, parts))
-    return [(point_out, digests) for point_out, (_, digests) in zip(out, sims)]
+    sets, room = [], 0
+    for ctx in ctxs:  # the readings of every estimator's vector of every trial
+        size = n_trials * len(ctx.points) * sum(
+            ctx.means[METHODS[est][0]].size for est in ctx.estimators)
+        if size > room:
+            sets, room = sets + [[]], _BLOCK_READINGS
+        sets[-1].append(ctx)
+        room -= size
+    out = []
+    for groups in sets:
+        sims = [[_simulate(c, factors, next(keys)) for _, factors in c.points] for c in groups]
+        results = [{} for group in sims for _ in group]
+        for solver, ests in by_solver.items():
+            parts = [(_join([rows[METHODS[est][0]] for rows, _ in group for est in ests]), ctx)
+                     for ctx, group in zip(groups, sims)]
+            (X, ctx), *rest = parts
+            step = max(1, _BLOCK_READINGS // X.shape[1])
+            calls = [parts] if rest else [[(X[i:i + step], ctx)] for i in range(0, len(X), step)]
+            blocks = [batch for call in calls for batch in _SOLVERS[solver](call)]
+            # one block of n_trials rows per point and estimator, in order
+            columns = [np.concatenate(c) for c in zip(*(vars(b).values() for b in blocks))]
+            split = (EstimateBatch(*(c[i:i + n_trials] for c in columns))
+                     for i in range(0, len(columns[0]), n_trials))
+            for point_out in results:
+                point_out.update(zip(ests, split))
+        out += zip(results, [digests for group in sims for _, digests in group])
+        del sims, parts, X, rest, calls  # this set's rows, before the next set is drawn
+    return out
 
 
 def _reduce_point(spec, axis_value, ctx, parts):
     """Result rows of one axis point from its trial chunks, in trial order."""
     trials = int(spec.trials)
-    digests = [d for _, part_digests in parts for d in part_digests]
-    point_digest = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()[:16]
+    digests = "".join(part_digests for _, part_digests in parts)
+    point_digest = hashlib.sha256(digests.encode("ascii")).hexdigest()[:16]
     rows = []
     for est in spec.estimators:
         d_hats = np.concatenate([part[est].d_hat for part, _ in parts])

@@ -267,7 +267,7 @@ def _compare(spec):
         results = experiments._run_trials([ctx], 0, spec.trials)
         for (axis_index, _), (got, digests) in zip(ctx.points, results):
             ref, ref_digests = ref_point(spec, axis_index)
-            assert digests == ref_digests
+            assert digests == "".join(ref_digests)
             for est in spec.estimators:
                 d_ref, conv_ref, it_ref = ref[est].T
                 batch = got[est]
@@ -351,20 +351,60 @@ def _mixed_batch():
     return X, SimpleNamespace(profile=profile, a_coeff=0.0, cfg=cfg)
 
 
+def _parts(bracket):
+    """(readings, context) parts of one multi-part solve, all under one
+    search bracket: fig3 rows at N = 10, 55 and 100, a one-row part, fig2
+    rows at N = 12 and the mixed batch, whose rows have no sign change
+    (golden-section search), several weighted-ML roots (the least-squares
+    anchor), or stop at once beside rows that run long."""
+    X_mixed, mixed = _mixed_batch()
+    spec = fig3_spec(spacing_h=0.01, base_seed=3, trials=100)
+    parts = [(spec, _group(spec, axis_index)) for axis_index in (0, 9, 18)]
+    spec, axis_index, _ = POINTS["fig2_n12"]
+    parts.append((spec, _group(spec, axis_index)))
+    parts = [(_fas_rows(spec, ctx, j), ctx) for spec, (ctx, j) in parts]
+    parts.insert(2, (parts[1][0][:1].copy(), parts[1][1]))
+    parts.append((X_mixed, mixed))
+    assert [X.shape[1] for X, _ in parts] == [10, 55, 55, 100, 12, 3]
+    cfg = EstimatorConfig(search_bracket={"sweep": parts[0][1].cfg,
+                                          "mixed": mixed.cfg}[bracket].search_bracket)
+    return [(X, SimpleNamespace(profile=c.profile, a_coeff=c.a_coeff, cfg=cfg)) for X, c in parts]
+
+
+def _solve_parts(solver, parts):
+    """SOLVERS[solver] on every (readings, context) part in one call."""
+    cfg = parts[0][1].cfg
+    if solver == "ls":
+        return estimators._solve_ls([(X, c.profile) for X, c in parts], cfg)
+    cfg = EstimatorConfig(search_bracket=cfg.search_bracket,
+                          frozen_weights=solver == "mle_frozen")
+    return estimators._solve_mle([(X, c.profile, c.a_coeff) for X, c in parts], cfg)
+
+
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 @pytest.mark.parametrize("point", sorted(POINTS) + ["mixed_n3"])
 def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
-    if point == "mixed_n3":
-        X, ctx = _mixed_batch()
-    else:
-        spec, ctx, j = _point(point)
-        X = _fas_rows(spec, ctx, j)
-    whole = SOLVERS[solver](X, ctx)
-    for k in range(X.shape[0]):
-        alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
-        for field in FIELDS:
-            assert getattr(alone, field).tobytes() == getattr(whole, field)[k:k + 1].tobytes(), \
-                (k, field)
+    # every part of one multi-part call, under the point's bracket, equals
+    # that part solved alone; every row of the point's part equals the row
+    # solved alone (which refines on floats)
+    parts = _parts("mixed" if point == "mixed_n3" else "sweep")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merged = _solve_parts(solver, parts)
+        assert len(merged) == len(parts)
+        for (X, ctx), got in zip(parts, merged):
+            whole = SOLVERS[solver](X, ctx)
+            for field in FIELDS:
+                want = getattr(whole, field)
+                assert getattr(got, field).dtype == want.dtype, field
+                assert getattr(got, field).tobytes() == want.tobytes(), (X.shape, field)
+        X, ctx = parts[{"fig2_n12": 4, "fig3_n100": 3, "mixed_n3": 5}[point]]
+        whole = SOLVERS[solver](X, ctx)
+        for k in range(X.shape[0]):
+            alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
+            for field in FIELDS:
+                assert getattr(alone, field).tobytes() == \
+                    getattr(whole, field)[k:k + 1].tobytes(), (k, field)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -393,7 +433,7 @@ def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     whole, whole_digests = experiments._run_trials([ctx], 0, spec.trials)[j]
     for t in (0, 1, 50, spec.trials - 1):
         one, digests = experiments._run_trials([ctx], t, t + 1)[j]
-        assert digests == whole_digests[t:t + 1]
+        assert digests == whole_digests[16 * t:16 * (t + 1)]
         for est in spec.estimators:
             for field in FIELDS:
                 assert getattr(one[est], field).tobytes() == \

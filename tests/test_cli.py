@@ -87,8 +87,9 @@ def test_reproduce_fig2_deterministic_across_workers(tmp_path):
 
 def test_reproduce_fig3_single_pitch(tmp_path):
     out = tmp_path / "fig3.csv"
-    rc = run_cli("reproduce", "fig3", "--trials", "100", "--spacing-h", "0.05",
-                 "--out", str(out))
+    with pytest.warns(UserWarning, match="equal-mean-power"):  # the large apertures
+        rc = run_cli("reproduce", "fig3", "--trials", "100", "--spacing-h", "0.05",
+                     "--out", str(out))
     assert rc == 0
     body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     header = body[0].split(",")
@@ -100,7 +101,8 @@ def test_reproduce_fig3_single_pitch(tmp_path):
 
 def test_reproduce_fig3_writes_both_pitches(tmp_path):
     out = tmp_path / "fig3.csv"
-    rc = run_cli("reproduce", "fig3", "--trials", "100", "--out", str(out))
+    with pytest.warns(UserWarning, match="equal-mean-power"):  # the large apertures
+        rc = run_cli("reproduce", "fig3", "--trials", "100", "--out", str(out))
     assert rc == 0
     assert (tmp_path / "fig3_h0p05.csv").exists()
     assert (tmp_path / "fig3_h0p01.csv").exists()

@@ -207,9 +207,10 @@ def test_run_is_deterministic(small_table):
 
 
 def aperture_spec():
-    """An aperture sweep of three solve groups (N = 4, 6, 8)."""
+    """An aperture sweep of three solve groups (N = 4, 6, 8) and all four
+    estimators, whose 100 trials fit one solver call per solver."""
     return ExperimentSpec(sweep_axis="aperture_w", axis_values=(0.2, 0.3, 0.4), trials=100,
-                          base_seed=7, estimators=["fas_ls"], scene=default_scene(),
+                          base_seed=7, estimators=list(METHODS), scene=default_scene(),
                           snr_db=10.0, spacing_h=0.05)
 
 
@@ -218,7 +219,7 @@ def aperture_spec():
                          ids=["snr_db-2", "aperture_w-2", "aperture_w-3"])
 def test_workers_do_not_change_bytes(spec, workers):
     # an snr_db sweep is one solve group, chunked by trial; every chunk of
-    # the aperture sweep spans its three groups
+    # the aperture sweep spans its three groups, solved together
     serial = run_experiment(spec)
     par = run_experiment(spec, workers=workers)
     assert par.to_csv_string() == serial.to_csv_string()
@@ -308,14 +309,15 @@ def test_draw_digest_shared_within_axis_point(small_table):
 
 
 def test_non_convergence_excluded_and_flagged(monkeypatch):
-    real = experiments.solve_ls
+    real = experiments._solve_ls
 
-    def flaky(*args, **kw):
-        batch = real(*args, **kw)
-        batch.converged[9::10] = False  # fail every tenth trial
-        return batch
+    def flaky(parts, cfg):
+        batches = real(parts, cfg)
+        for batch in batches:
+            batch.converged[9::10] = False  # fail every tenth trial
+        return batches
 
-    monkeypatch.setattr(experiments, "solve_ls", flaky)
+    monkeypatch.setattr(experiments, "_solve_ls", flaky)
     table = run_experiment(small_spec(estimators=["fas_ls"], axis_values=(10.0,)))
     row = table.row(10.0, "fas_ls")
     assert row.excluded == 10
@@ -325,12 +327,13 @@ def test_non_convergence_excluded_and_flagged(monkeypatch):
 # ---------------------------------------------------------------- solve groups
 
 def _count_solves(monkeypatch):
-    """Record (solver, rows, ports) of every solver call of the sweeps."""
+    """Record (solver, [(rows, ports) of each part]) of every solver call of
+    the sweeps."""
     calls = []
     for name, solve in list(experiments._SOLVERS.items()):
         monkeypatch.setitem(experiments._SOLVERS, name,
-                            lambda X, c, name=name, solve=solve:
-                            calls.append((name, *X.shape)) or solve(X, c))
+                            lambda parts, name=name, solve=solve:
+                            calls.append((name, [X.shape for X, _ in parts])) or solve(parts))
     return calls
 
 
@@ -338,20 +341,37 @@ def test_an_snr_sweep_is_one_solve_group(monkeypatch):
     calls = _count_solves(monkeypatch)
     run_experiment(fig2_spec(trials=100))
     # 7 points x 100 trials, stacked over both least-squares estimators
-    assert sorted(calls) == [("ls", 1400, 12), ("mle", 700, 12), ("single", 700, 1)]
+    assert sorted(calls) == [("ls", [(1400, 12)]), ("mle", [(700, 12)]),
+                             ("single", [(700, 1)])]
+
+
+def test_small_solve_groups_are_solved_together(monkeypatch):
+    # 19 groups of N = 10..100 ports: 104,500 readings, two sets under the cap
+    calls = _count_solves(monkeypatch)
+    with pytest.warns(UserWarning, match="equal-mean-power"):
+        run_experiment(fig3_spec(spacing_h=0.01, trials=100))
+    assert [name for name, _ in calls] == ["ls", "ls"]
+    assert [ports for _, parts in calls for _, ports in parts] == list(range(10, 101, 5))
+    for _, parts in calls:
+        assert sum(rows * ports for rows, ports in parts) <= experiments._BLOCK_READINGS
 
 
 @pytest.mark.parametrize("spec", [fig2_spec(base_seed=3, trials=100),
-                                  fig3_spec(spacing_h=0.05, base_seed=3, trials=100)],
-                         ids=["fig2", "fig3_h0.05"])
+                                  fig3_spec(spacing_h=0.05, base_seed=3, trials=100),
+                                  replace(aperture_spec(), trials=200)],
+                         ids=["fig2", "fig3_h0.05", "aperture_w"])
 def test_solve_blocks_do_not_change_bytes(monkeypatch, spec):
+    calls = _count_solves(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # far field
         default = run_experiment(spec)
+        # every group of an aperture sweep has its own part in one call
+        groups = len(spec.axis_values) if spec.sweep_axis == "aperture_w" else 1
+        assert [len(parts) for _, parts in calls] == [groups] * len(calls)
+        calls.clear()
         monkeypatch.setattr(experiments, "_BLOCK_READINGS", 100)
-        calls = _count_solves(monkeypatch)
         blocked = run_experiment(spec)
-    assert max(rows * ports for _, rows, ports in calls) <= 100
+    assert max(sum(rows * ports for rows, ports in parts) for _, parts in calls) <= 100
     assert len(calls) > 100
     assert blocked.to_csv_string() == default.to_csv_string()
     assert blocked.to_json_string() == default.to_json_string()
