@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .channel import (CorrelationModel, CovarianceMatrix, FasLayout,
                       ModelValidityError, average_mu_squared, build_covariance,
-                      lag_correlations, rng_from_seed, sample_fading)
+                      lag_correlations)
 from .estimators import (EstimatorConfig, kappa_constant, solve_ls, solve_mle,
                          solve_single_antenna)
 from .forward_model import (RssiProfile, Scene, read_measurements,
@@ -22,7 +22,6 @@ from .specfun import bessel_j0
 __all__ = [
     "CorrelationModel", "CovarianceMatrix", "FasLayout", "ModelValidityError",
     "average_mu_squared", "build_covariance", "lag_correlations",
-    "rng_from_seed", "sample_fading",
     "EstimatorConfig", "kappa_constant", "solve_ls", "solve_mle",
     "solve_single_antenna",
     "RssiProfile", "Scene", "read_measurements",

@@ -1,5 +1,5 @@
-"""Port-correlation models for a fluid antenna receiver and correlated
-shadow-fading sampling.
+"""Port-correlation models for a fluid antenna receiver and the keyed Philox
+streams that correlated shadow-fading draws come from.
 
 A fluid antenna exposes N selectable port positions along a line. Because
 adjacent ports are electrically close, the shadow-fading seen on different
@@ -300,9 +300,9 @@ def _hash_keys(words):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _seed_value(v):
-    """A seed value as an int; floats and bools raise instead of being cut
-    to a neighbouring stream."""
+def _integer(v):
+    """An integer value (a seed value, a count) as an int; floats and bools
+    raise TypeError instead of being cut to a neighbouring int."""
     if isinstance(v, bool):
         raise TypeError(f"seed values must be integers, got {v!r}")
     return operator.index(v)
@@ -311,15 +311,17 @@ def _seed_value(v):
 def philox_keys(seed, tails=None):
     """128-bit Philox keys of seeded streams, as a (B, 2) uint64 array.
 
-    Without ``tails`` this is the one key of ``rng_from_seed(seed)``. Row b
-    of a (B, k) array of trailing values (1-D: k = 1) gives the key of
-    ``rng_from_seed((*seed, *tails[b]))``, all rows in one pass. A seed is
-    an int or a tuple of ints; the tuple length is folded into the entropy
-    because SeedSequence ignores trailing zero words, which would otherwise
-    alias (s,) and (s, 0). An int seed s is the tuple (s,). A seed value
-    that is not an integer (a float, a bool) raises TypeError.
+    The stream of a seed is ``Philox(SeedSequence((len(seed), *seed)))``.
+    Without ``tails`` this is the one key of the seed's stream, the one
+    forward_model.simulate_measurements draws from. Row b of a (B, k) array
+    of trailing values (1-D: k = 1) gives the key of the stream of
+    ``(*seed, *tails[b])``, all rows in one pass. A seed is an int or a
+    tuple of ints; the tuple length is folded into the entropy because
+    SeedSequence ignores trailing zero words, which would otherwise alias
+    (s,) and (s, 0). An int seed s is the tuple (s,). A seed value that is
+    not an integer (a float, a bool) raises TypeError.
     """
-    values = [_seed_value(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
+    values = [_integer(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
     if tails is None:
         return _hash_keys(np.array([_seed_words((len(values), *values))], dtype=np.uint32))
     tails = np.asarray(tails, dtype=np.int64)
@@ -334,22 +336,12 @@ def philox_keys(seed, tails=None):
     return _hash_keys(words)
 
 
-def rng_from_seed(seed):
-    """Deterministic counter-based generator from an int or tuple of ints.
-
-    Tuple seeds give independent, scheduling-order-free streams per
-    (experiment, axis point, trial) without any shared state. The stream is
-    Philox with the key ``philox_keys(seed)`` derives and a zero counter,
-    the same stream as ``Philox(SeedSequence((len(seed), *seed)))``.
-    """
-    return np.random.Generator(np.random.Philox(key=philox_keys(seed)[0]))
-
-
 def standard_normal_rows(keys, width):
     """Standard normals of many Philox streams, one row per key of ``keys``.
 
     Row i is what a fresh generator keyed ``keys[i]`` draws: for the keys of
-    ``philox_keys(seed, trials)``, ``rng_from_seed((*seed, trials[i]))``'s.
+    ``philox_keys(seed, trials)``, the first ``width`` normals of
+    ``Philox(SeedSequence((len(seed) + 1, *seed, trials[i])))``.
     One generator is re-keyed per row (zero counter, empty buffer) from one
     state dict of Python ints, which its setter reads over twice as fast as
     numpy arrays.
@@ -364,18 +356,3 @@ def standard_normal_rows(keys, width):
         gen.standard_normal(out=z[i])
     return z
 
-
-def sample_fading(cov, rng_seed, n_draws):
-    """Draw ``n_draws`` zero-mean Gaussian vectors with covariance ``cov``.
-
-    Each row is Z @ L.T where Z is a block of i.i.d. standard normals from
-    the seed's stream and L is the covariance factor. The Z block depends
-    only on (seed, n_draws, dim), never on the covariance, so two calls with
-    the same seed but different covariances consume identical underlying
-    draws; this is what makes paired method comparisons possible.
-    """
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    rng = rng_from_seed(rng_seed)
-    z = rng.standard_normal((int(n_draws), cov.dim))
-    return z @ cov.factor().T

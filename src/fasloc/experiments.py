@@ -3,19 +3,19 @@
 A sweep is described by an ExperimentSpec (axis, fixed parameters, trial
 count, seed) and produces a ResultTable of NMSE-in-dB rows per estimator,
 with a leave-one-out jackknife standard error. Every trial has its own
-counter-based Philox stream, keyed by (base_seed, axis_index, trial), so
-results are byte-identical regardless of worker count or scheduling. The
-keys of a chunk's trials, at every axis point of the sweep, are derived in
-one vectorised pass (channel.philox_keys) and one generator is re-keyed per
-trial, which draws exactly what a fresh ``rng_from_seed`` per trial would.
+counter-based Philox stream, ``Philox(SeedSequence((3, base_seed,
+axis_index, trial)))``, so results are byte-identical regardless of worker
+count or scheduling. The keys of a chunk's trials, at every axis point of
+the sweep, are derived in one vectorised pass (channel.philox_keys) and one
+generator is re-keyed per trial, which draws what a fresh one would.
 
 Paired-draw discipline: at a given (axis value, trial) all estimators consume
 measurement vectors built from the same block of underlying standard normals.
 Each trial draws that block once; the correlated-port, independent-port and
-one-port vectors are built from it with their own covariance factors (see
-channel.sample_fading), and both fluid-antenna estimators receive literally
-the same row. A digest of the trial's simulated vectors is recorded so
-reproducibility is checkable from the output alone.
+one-port vectors are built from it with their own covariance factors, as
+simulate_measurements pairs its draws, and both fluid-antenna estimators
+receive literally the same row. A digest of the trial's simulated vectors
+is recorded so reproducibility is checkable from the output alone.
 
 Axis points with equal layouts form one solve group: an SNR sweep is one,
 each point of an aperture or port-count sweep its own. Consecutive groups
@@ -375,15 +375,16 @@ def _simulate(ctx, factors, keys):
     """Measurement rows of one point's trials and their digests, joined.
 
     ``keys`` holds the trials' Philox keys, one row each: the key of trial t
-    at axis index j is that of ``rng_from_seed((base_seed, j, t))``, and one
-    re-keyed generator draws each trial's row of an (n_trials, N) block of
-    normals (channel.standard_normal_rows). Every vector of a trial is its
-    noiseless profile plus the row times the vector's covariance factor (the
-    one-port reading uses the row's first normal). The product is stacked
-    per row, (T, 1, k) @ (k, k), which gives the same bits as
-    channel.sample_fading's (1, k) @ (k, k) per trial. A trial's digest
-    hashes its vectors in order, one row of their concatenation; the
-    trials' 16-character digests come back as one string, in trial order.
+    at axis index j is that of ``Philox(SeedSequence((3, base_seed, j, t)))``,
+    and one re-keyed generator draws each trial's row of an (n_trials, N)
+    block of normals (channel.standard_normal_rows). Every vector of a trial
+    is its noiseless profile plus the row times the vector's covariance
+    factor (the one-port reading uses the row's first normal). The product
+    is stacked per row, (T, 1, k) @ (k, k), which gives the same bits as
+    one snapshot of simulate_measurements, a (1, k) @ (k, k) per trial. A
+    trial's digest hashes its vectors in order, one row of their
+    concatenation; the trials' 16-character digests come back as one
+    string, in trial order.
     """
     z = standard_normal_rows(keys, ctx.profile.n_ports)
     rows = {}

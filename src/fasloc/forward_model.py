@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import _check_real, sample_fading
+from .channel import _check_real, _integer, philox_keys, standard_normal_rows
 
 # Declared convention for the SNR axis of all experiment sweeps; sigma2 is
 # the shadow-fading variance in dB^2, so sigma = 1 dB at SNR 0. Stamped into
@@ -170,33 +170,36 @@ def in_near_field(layout, distance):
     return layout.n_ports > 1 and distance < FAR_FIELD_RATIO * layout.span_m
 
 
-def warn_near_field(layout, scene):
-    """Warn when the transmitter is in the near field of ``layout``."""
-    if in_near_field(layout, scene.distance):
-        warnings.warn(
-            f"transmitter distance {scene.distance:.3g} m is less than "
-            f"{FAR_FIELD_RATIO:.0f}x the port span {layout.span_m:.3g} m; "
-            "the equal-mean-power approximation degrades",
-            stacklevel=3,
-        )
-
-
 def simulate_measurements(layout, scene, cov, rng_seed, n_snapshots):
     """Simulate ``n_snapshots`` RSSI vectors, noiseless profile plus fading,
     as an (n_snapshots, N) array.
 
-    Deterministic under the seed. Fading rows come from
-    channel.sample_fading, so two calls with the same seed but different
-    covariances are paired draws (identical underlying normals).
+    The fading is Z @ L.T: Z holds the first n_snapshots * N normals of the
+    seed's stream (channel.philox_keys), row by row, and L is the covariance
+    factor. Z never depends on the covariance, so two calls with the same
+    seed but different covariances are paired draws (identical underlying
+    normals).
     """
     if cov.dim != layout.n_ports:
         raise ValueError(
             f"covariance dimension {cov.dim} does not match layout with "
             f"{layout.n_ports} ports"
         )
-    warn_near_field(layout, scene)
-    means = scene.profile(layout).at(scene.distance)
-    return means + sample_fading(cov, rng_seed, n_snapshots)
+    try:
+        n = _integer(n_snapshots)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"n_snapshots must be a positive integer, got {n_snapshots!r}")
+    if in_near_field(layout, scene.distance):
+        warnings.warn(
+            f"transmitter distance {scene.distance:.3g} m is less than "
+            f"{FAR_FIELD_RATIO:.0f}x the port span {layout.span_m:.3g} m; "
+            "the equal-mean-power approximation degrades",
+            stacklevel=2,
+        )
+    z = standard_normal_rows(philox_keys(rng_seed), n * cov.dim).reshape(n, cov.dim)
+    return scene.profile(layout).at(scene.distance) + z @ cov.factor().T
 
 
 def write_measurements(path, rows):

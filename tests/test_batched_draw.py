@@ -2,8 +2,8 @@
 generators they replace.
 
 The reference below draws as the sweep runner did one trial at a time: a
-fresh ``rng_from_seed((base_seed, axis_index, t))`` per trial, one (1, N)
-block of normals, and a (1, k) @ L.T product per vector.
+fresh numpy ``Generator(Philox(SeedSequence((3, base_seed, axis_index, t))))``
+per trial, one (1, N) block of normals, and a (1, k) @ L.T product per vector.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fasloc import experiments
-from fasloc.channel import philox_keys, rng_from_seed, standard_normal_rows
+from fasloc.channel import philox_keys, standard_normal_rows
 from fasloc.estimators import solve_ls
 from fasloc.experiments import fig2_spec, fig3_spec
 
@@ -22,12 +22,16 @@ def seed_sequence_key(entropy):
     return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
+def stream(entropy):
+    """numpy's own generator on the stream of a SeedSequence entropy."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
 def ref_simulate(ctx, axis_index, factors, t_lo, t_hi):
     rows = {name: [] for name in factors}
     digests = []
     for t in range(t_lo, t_hi):
-        z = rng_from_seed((ctx.base_seed, axis_index, t)).standard_normal(
-            (1, ctx.profile.n_ports))
+        z = stream((3, ctx.base_seed, axis_index, t)).standard_normal((1, ctx.profile.n_ports))
         parts = []
         for name, factor in factors.items():
             x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
@@ -73,22 +77,21 @@ def test_trial_keys_match_seed_sequence(base_seed):
     (5, (1, 5)), (0, (1, 0)), (2 ** 64 + 5, (1, 2 ** 64 + 5)), ((5, 0), (2, 5, 0)),
     ((1, 2, 3, 4, 5), (5, 1, 2, 3, 4, 5)), ((7, 2 ** 40, 3), (3, 7, 2 ** 40, 3)),
 ])
-def test_rng_from_seed_keeps_its_streams(seed, entropy):
+def test_seed_keys_keep_their_streams(seed, entropy):
     np.testing.assert_array_equal(philox_keys(seed)[0], seed_sequence_key(entropy))
-    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    np.testing.assert_array_equal(rng_from_seed(seed).standard_normal(50),
-                                  want.standard_normal(50))
+    np.testing.assert_array_equal(standard_normal_rows(philox_keys(seed), 50)[0],
+                                  stream(entropy).standard_normal(50))
 
 
 def test_seed_length_is_folded_into_the_key():
     assert not np.array_equal(philox_keys(5), philox_keys((5, 0)))
-    assert not np.array_equal(rng_from_seed(5).standard_normal(3),
-                              rng_from_seed((5, 0)).standard_normal(3))
+    assert not np.array_equal(standard_normal_rows(philox_keys(5), 3),
+                              standard_normal_rows(philox_keys((5, 0)), 3))
 
 
 def test_negative_seed_values_are_rejected_not_wrapped():
     with pytest.raises(ValueError):
-        rng_from_seed(-1)
+        philox_keys(-1)
     with pytest.raises(ValueError):
         philox_keys((-1, 0), np.arange(3))
     with pytest.raises(ValueError):
@@ -98,7 +101,7 @@ def test_negative_seed_values_are_rejected_not_wrapped():
 @pytest.mark.parametrize("seed", [5.7, (1, 2.0), True, (3, False), np.float64(5.0)])
 def test_non_integral_seed_values_are_rejected_not_truncated(seed):
     with pytest.raises(TypeError):
-        rng_from_seed(seed)
+        philox_keys(seed)
     with pytest.raises(TypeError):
         philox_keys(seed, np.arange(3))
 
@@ -112,7 +115,7 @@ def test_numpy_integer_seed_values_keep_their_streams():
 def test_normal_rows_equal_per_trial_generators():
     z = standard_normal_rows(philox_keys((42, 3), np.arange(10, 60)), 17)
     for i, t in enumerate(range(10, 60)):
-        np.testing.assert_array_equal(z[i], rng_from_seed((42, 3, t)).standard_normal(17))
+        np.testing.assert_array_equal(z[i], stream((3, 42, 3, t)).standard_normal(17))
     assert standard_normal_rows(philox_keys((42, 3), np.arange(0)), 17).shape == (0, 17)
 
 
@@ -123,7 +126,7 @@ def test_normal_rows_rekey_with_key_words_above_2_to_the_63():
     assert high.any() and not high.all()
     z = standard_normal_rows(keys, 9)
     for t in range(20):
-        np.testing.assert_array_equal(z[t], rng_from_seed((7, 2, t)).standard_normal(9))
+        np.testing.assert_array_equal(z[t], stream((3, 7, 2, t)).standard_normal(9))
     top = np.array([[2 ** 64 - 1, 2 ** 63], [2 ** 63, 0]], dtype=np.uint64)
     for row, key in zip(standard_normal_rows(top, 9), top):
         want = np.random.Generator(np.random.Philox(key=key)).standard_normal(9)

@@ -5,14 +5,21 @@ import pytest
 
 import fasloc.channel as channel
 from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
-                            average_mu_squared, build_covariance, lag_correlations,
-                            rng_from_seed, sample_fading)
+                            average_mu_squared, build_covariance, lag_correlations)
+from fasloc.forward_model import Scene, simulate_measurements
 from fasloc.specfun import bessel_j0
 
 J0_PI = -0.3042421776440939          # J0(pi), high-precision series value
 J0_PI_OVER_11 = 0.9797119759440423   # J0(pi/11)
 MU2_12_05_ENDPOINT = 0.6001041903598960
 MU2_12_05_INDEX = 0.0316788287373986
+FAR_SCENE = Scene(distance=100.0, bearing=1.0)  # far field of every layout below
+
+
+def fading(layout, cov, seed, n_snapshots):
+    """The fading rows of simulate_measurements: its readings less the profile."""
+    rows = simulate_measurements(layout, FAR_SCENE, cov, seed, n_snapshots)
+    return rows - FAR_SCENE.profile(layout).at(FAR_SCENE.distance)
 
 
 # ---------------------------------------------------------------- layouts
@@ -192,8 +199,9 @@ def test_psd_repair_overflow_raises(monkeypatch):
 def test_fully_correlated_matrix_still_samples():
     # W = 0 gives the all-ones matrix; ports move together up to the tiny
     # PSD-repair jitter on the diagonal
-    cov = build_covariance(FasLayout(6, 0.0), CorrelationModel.AVERAGE_MU, 1.0)
-    draws = sample_fading(cov, 5, 4)
+    lay = FasLayout(6, 0.0)
+    cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1.0)
+    draws = fading(lay, cov, 5, 4)
     spread = np.ptp(draws, axis=1)
     assert np.all(spread < 1e-4)
 
@@ -212,23 +220,19 @@ def test_a_singular_covariance_factors_through_its_eigenvectors():
 # ---------------------------------------------------------------- sampling
 
 def test_sampling_is_seed_deterministic():
-    cov = build_covariance(FasLayout(5, 0.4), CorrelationModel.AVERAGE_MU, 0.5)
-    a = sample_fading(cov, (3, 1, 4), 7)
-    b = sample_fading(cov, (3, 1, 4), 7)
+    lay = FasLayout(5, 0.4)
+    cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.5)
+    a = fading(lay, cov, (3, 1, 4), 7)
+    b = fading(lay, cov, (3, 1, 4), 7)
     np.testing.assert_array_equal(a, b)
-    c = sample_fading(cov, (3, 1, 5), 7)
+    c = fading(lay, cov, (3, 1, 5), 7)
     assert not np.array_equal(a, c)
 
 
-def test_sampling_rejects_zero_draws():
-    cov = build_covariance(FasLayout(3, 0.5), CorrelationModel.INDEPENDENT, 1.0)
-    with pytest.raises(ValueError):
-        sample_fading(cov, 1, 0)
-
-
 def test_iid_sample_covariance():
-    cov = build_covariance(FasLayout(2, 0.5), CorrelationModel.INDEPENDENT, 4.0)
-    draws = sample_fading(cov, 99, 100_000)
+    lay = FasLayout(2, 0.5)
+    cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 4.0)
+    draws = fading(lay, cov, 99, 100_000)
     sample_cov = np.cov(draws.T)
     np.testing.assert_allclose(sample_cov, 4.0 * np.eye(2), atol=0.05 * 4.0)
 
@@ -237,7 +241,7 @@ def test_equicorrelated_sample_correlation_matches_mu2():
     lay = FasLayout(12, 0.5)
     a = average_mu_squared(lay)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1.0)
-    draws = sample_fading(cov, 1234, 100_000)
+    draws = fading(lay, cov, 1234, 100_000)
     corr = np.corrcoef(draws.T)
     off = corr[~np.eye(12, dtype=bool)]
     assert np.all(np.abs(off - a) <= 0.02)
@@ -247,7 +251,7 @@ def test_sample_covariance_frobenius_concentration():
     lay = FasLayout(12, 0.5)
     cov = build_covariance(lay, CorrelationModel.JAKES_EXACT, 1.0)
     n_draws = 100_000
-    draws = sample_fading(cov, 4321, n_draws)
+    draws = fading(lay, cov, 4321, n_draws)
     emp = draws.T @ draws / n_draws
     dist = np.linalg.norm(emp - cov.entries)
     assert dist <= 5.0 / np.sqrt(n_draws) * 12
@@ -258,15 +262,17 @@ def test_paired_draws_share_underlying_normals():
     cov_corr = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.25)
     cov_iid = build_covariance(lay, CorrelationModel.INDEPENDENT, 0.25)
     seed = (7, 0, 42)
-    x_corr = sample_fading(cov_corr, seed, 3)
-    x_iid = sample_fading(cov_iid, seed, 3)
+    x_corr = fading(lay, cov_corr, seed, 3)
+    x_iid = fading(lay, cov_iid, seed, 3)
     z = x_iid / 0.5  # identity factor is sqrt(sigma2) * I
     np.testing.assert_allclose(x_corr, z @ cov_corr.factor().T, rtol=0, atol=1e-12)
 
 
-def test_rng_accepts_int_and_tuple_seeds():
-    a = rng_from_seed(5).standard_normal(3)
-    b = rng_from_seed(5).standard_normal(3)
+def test_sampling_accepts_int_and_tuple_seeds():
+    lay = FasLayout(3, 0.5)
+    cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 1.0)
+    a = fading(lay, cov, 5, 1)
+    b = fading(lay, cov, 5, 1)
     np.testing.assert_array_equal(a, b)
-    c = rng_from_seed((5, 0)).standard_normal(3)
+    c = fading(lay, cov, (5, 0), 1)
     assert not np.array_equal(a, c)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fasloc.channel import CorrelationModel, FasLayout, build_covariance
 from fasloc.forward_model import (RssiProfile, Scene, read_measurements,
@@ -195,6 +197,32 @@ def test_single_port_baseline_stream():
     assert snaps.shape == (24, 1)
 
 
+@pytest.mark.parametrize("n_snapshots", [2.5, True, 0, -1])
+def test_simulation_rejects_a_snapshot_count_that_is_not_a_positive_integer(n_snapshots):
+    lay = FasLayout(12, 0.5, 0.125)
+    cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 1.0)
+    with pytest.raises(ValueError, match="n_snapshots"):
+        simulate_measurements(lay, default_scene(), cov, 7, n_snapshots)
+
+
+SEED_VALUES = st.integers(0, 2 ** 70)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=SEED_VALUES | st.lists(SEED_VALUES, max_size=4).map(tuple),
+       n_snapshots=st.integers(1, 6), n_ports=st.integers(1, 16))
+def test_simulation_draws_numpy_philox_streams(seed, n_snapshots, n_ports):
+    # an int seed s is the tuple (s,); the stream's entropy leads with the length
+    values = seed if isinstance(seed, tuple) else (seed,)
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        (len(values), *values)))).standard_normal((n_snapshots, n_ports))
+    lay = FasLayout(n_ports, 0.5, 0.125)
+    cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 1.0)
+    means = mean_profile(lay, default_scene())
+    got = simulate_measurements(lay, default_scene(), cov, seed, n_snapshots)
+    np.testing.assert_array_equal(got - means, (means + want) - means)
+
+
 def test_simulation_deterministic_under_seed():
     lay = FasLayout(12, 0.5, 0.125)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 0.1)
@@ -230,8 +258,9 @@ def test_correlated_residual_correlation():
 def test_near_field_warns():
     lay = FasLayout(24, 0.5, 0.125, spacing="index")  # span 1.44 m
     cov = build_covariance(lay, CorrelationModel.INDEPENDENT, 1.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         simulate_measurements(lay, default_scene(), cov, 7, 1)
+    assert [w.filename for w in record] == [__file__]  # points at the caller
 
 
 # ---------------------------------------------------------------- records

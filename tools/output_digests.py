@@ -11,12 +11,19 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
   seed 42, each with ``--workers`` 1 and 2;
 * the stdout and exit code of ``fasloc estimate`` on each of the benchmark's
   768 capture files (``perfbench/workloads.py``, imported and only read),
-  one digest per method over its captures in pool order.
+  one digest per method over its captures in pool order;
+* the stdout of each script in ``demos/``, one digest per demo;
+* ``simulate_measurements`` over a fixed grid, one digest: the AVERAGE_MU
+  model at N = 12, JAKES_EXACT at N = 50 and INDEPENDENT at N = 1, each at
+  seeds 7, (1, 2), () and 2**64 + 5 and at 1, 3 and 1000 snapshots.
 """
 
 import contextlib
 import hashlib
 import io
+import math
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -26,10 +33,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # nothing is written under perfbench/
 
-from fasloc import cli  # noqa: E402
+from fasloc import (CorrelationModel, FasLayout, Scene, build_covariance, cli,  # noqa: E402
+                    simulate_measurements)
 import workloads  # noqa: E402
 
 SWEEPS = {"fig2": ("--trials", "2000"), "fig3": ()}
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXACT, 50),
+                 (CorrelationModel.INDEPENDENT, 1))
+SIMULATE_SEEDS = (7, (1, 2), (), 2 ** 64 + 5)
+SIMULATE_SNAPSHOTS = (1, 3, 1000)
 
 
 def _sha(data):
@@ -71,10 +84,37 @@ def estimate_digests(work):
             digest.hexdigest()
 
 
+def demo_digests(work):
+    """(name, sha256) of each demo script's stdout, run from ``work``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for demo in DEMOS:
+        proc = subprocess.run([sys.executable, str(demo)], cwd=work, env=env,
+                              capture_output=True, check=True, timeout=600)
+        yield f"demo {demo.name}: stdout", _sha(proc.stdout)
+
+
+def simulate_digests():
+    """(name, sha256) of simulate_measurements' rows over the fixed grid,
+    each row block prefixed by its grid point."""
+    digest = hashlib.sha256()
+    scene = Scene(distance=10.0, bearing=math.pi / 3.0)
+    for model, n_ports in SIMULATE_GRID:
+        layout = FasLayout(n_ports, 0.5)
+        cov = build_covariance(layout, model, 0.1)
+        for seed in SIMULATE_SEEDS:
+            for n in SIMULATE_SNAPSHOTS:
+                rows = simulate_measurements(layout, scene, cov, seed, n)
+                digest.update(f"{model.value} {n_ports} {seed!r} {n}".encode("utf-8"))
+                digest.update(rows.tobytes())
+    yield (f"simulate_measurements: {len(SIMULATE_GRID)} layouts x {len(SIMULATE_SEEDS)} "
+           f"seeds x {len(SIMULATE_SNAPSHOTS)} snapshot counts"), digest.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, digest in [*sweep_digests(work), *estimate_digests(work)]:
+        for name, digest in [*sweep_digests(work), *estimate_digests(work),
+                             *demo_digests(work), *simulate_digests()]:
             print(f"{digest}  {name}")
 
 
