@@ -63,10 +63,18 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _check_real(name, value):
-    """``value`` if it is a real number; a bool, a string or None raises."""
+def _check_real(name, value, lo=-math.inf, hi=math.inf, positive=False):
+    """``value`` if it is a finite real number in [lo, hi], and above 0 when
+    ``positive``, else ValueError naming ``name``. A bool, a string, None or an
+    array is not a number; an int of any size is finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value
 
 
@@ -99,17 +107,15 @@ class FasLayout:
     spacing: str = "endpoint"
 
     def __post_init__(self):
-        for name in ("n_ports", "aperture", "wavelength"):
-            _check_real(name, getattr(self, name))
-        if not 1 <= self.n_ports < math.inf or int(self.n_ports) != self.n_ports:
-            raise ValueError(f"n_ports must be a positive integer, got {self.n_ports}")
-        if self.n_ports > MAX_PORTS:
-            raise ValueError(f"n_ports must be at most {MAX_PORTS}, got {self.n_ports}")
-        object.__setattr__(self, "n_ports", int(self.n_ports))
-        if not (self.aperture >= 0.0) or not np.isfinite(self.aperture):
-            raise ValueError(f"aperture must be a finite non-negative real, got {self.aperture}")
-        if not (self.wavelength > 0.0) or not np.isfinite(self.wavelength):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        n = self.n_ports
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not 1 <= n < math.inf \
+                or int(n) != n:
+            raise ValueError(f"n_ports must be a positive integer, got {n}")
+        if n > MAX_PORTS:
+            raise ValueError(f"n_ports must be at most {MAX_PORTS}, got {n}")
+        object.__setattr__(self, "n_ports", int(n))
+        _check_real("aperture", self.aperture, lo=0.0)
+        _check_real("wavelength", self.wavelength, positive=True)
         if self.spacing not in SPACING_CONVENTIONS:
             raise ValueError(f"spacing must be one of {SPACING_CONVENTIONS}, got {self.spacing!r}")
 
@@ -212,8 +218,7 @@ def build_covariance(layout, model, sigma2):
     diagonally loaded by |eig_min| + 1e-12 and the repair is recorded;
     a repair larger than ``PSD_SHIFT_LIMIT`` raises ModelValidityError.
     """
-    if not (sigma2 > 0.0) or not np.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    _check_real("sigma2", sigma2, positive=True)
     n = layout.n_ports
     if model is CorrelationModel.INDEPENDENT:
         r = np.eye(n)
@@ -322,9 +327,7 @@ def philox_keys(seed, tails=None):
     not an integer (a float, a bool) raises TypeError.
     """
     values = [_integer(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
-    if tails is None:
-        return _hash_keys(np.array([_seed_words((len(values), *values))], dtype=np.uint32))
-    tails = np.asarray(tails, dtype=np.int64)
+    tails = np.zeros((1, 0), np.int64) if tails is None else np.asarray(tails, dtype=np.int64)
     if tails.ndim < 2:
         tails = tails.reshape(-1, 1)
     if tails.size and (tails.min() < 0 or tails.max() > _MASK32):

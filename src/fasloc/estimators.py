@@ -57,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_real
+
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
 # Relative tolerance of the root solver: scipy brentq's default, 4 * eps.
@@ -78,12 +80,11 @@ class EstimatorConfig:
     frozen_weights: bool = False
 
     def __post_init__(self):
-        lo, hi = self.search_bracket
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError(f"search bracket must satisfy 0 < d_min < d_max < inf, "
+        lo, hi = (np.asarray(end).item() for end in self.search_bracket)  # or 0-d arrays
+        if not _check_real("d_min", lo, positive=True) < _check_real("d_max", hi):
+            raise ValueError(f"search bracket must satisfy 0 < d_min < d_max, "
                              f"got {self.search_bracket}")
-        if not (0.0 < self.tolerance < math.inf):
-            raise ValueError("tolerance must be positive and finite")
+        _check_real("tolerance", self.tolerance, positive=True)
 
 
 @dataclass
@@ -128,8 +129,7 @@ class _Residual:
             raise ValueError(
                 f"path_loss_exp and amp_const put the model RSSI beyond "
                 f"+-{READING_LIMIT_DBM:g} dBm inside the search bracket")
-        self.w = np.empty_like(self.model)
-        self.w[...] = weights(grid, di_sq)
+        self.w = np.broadcast_to(weights(grid, di_sq), self.model.shape)
 
     def g(self, d, X):
         di_sq = self.profile.dist_sq(d)
@@ -377,8 +377,7 @@ def _by_part(fn, parts, cuts, d):
     """fn(res, d[i:j], X) for each part (res, X, ...) with rows i:j of d, joined."""
     if len(parts) == 1:
         return fn(parts[0][0], d, parts[0][1])
-    return _join([fn(res, d[i:j], X) for (res, X, *_), i, j in zip(parts, cuts, cuts[1:])
-                  if j > i])
+    return _join([fn(res, d[i:j], X) for (res, X, *_), i, j in zip(parts, cuts, cuts[1:])])
 
 
 def _refine(parts, objective, cfg):
@@ -399,12 +398,11 @@ def _refine(parts, objective, cfg):
         lambda d: _by_part(_Residual.g, parts, cuts, d), a, b, *ends, cfg.tolerance,
         MAX_ITERATIONS)
     if np.count_nonzero(bracketed) < bracketed.size:
-        flat = np.flatnonzero(~bracketed)
-        at = np.searchsorted(flat, cuts).tolist()  # each part's rows of flat
-        sub = [(res, X[flat[k:m] - i]) for (res, X, _, _), i, k, m in zip(parts, cuts, at, at[1:])]
-        d_f, _, iterations[flat] = _golden(lambda d: _by_part(objective, sub, at, d), a[flat],
-                                           b[flat], cfg.tolerance, MAX_ITERATIONS)
-        d[flat], g[flat], converged[flat] = d_f, _by_part(_Residual.g, sub, at, d_f), True
+        for (res, X, _, _), i, j in zip(parts, cuts, cuts[1:]):
+            k = i + np.flatnonzero(~bracketed[i:j])
+            d[k], _, iterations[k] = _golden(lambda d: objective(res, d, X[k - i]), a[k], b[k],
+                                             cfg.tolerance, MAX_ITERATIONS)
+            g[k], converged[k] = res.g(d[k], X[k - i]), True
     return [out] if len(parts) == 1 else [[v[i:j] for v in out] for i, j in zip(cuts, cuts[1:])]
 
 

@@ -163,13 +163,13 @@ class ExperimentSpec:
         if self.sweep_axis not in AXES:
             raise ValueError(f"sweep_axis must be one of {tuple(AXES)}, got {self.sweep_axis!r}")
         reads = AXES[self.sweep_axis][1]
-        vals = [_check_finite("axis_values", v) for v in self.axis_values]
+        vals = [_check_real("axis_values", v) for v in self.axis_values]
         for name in POINT_FIELDS:
             if (getattr(self, name) is None) == (name in reads):
                 verb = "needs" if name in reads else "does not read"
                 raise ValueError(f"sweep_axis {self.sweep_axis!r} {verb} {name}")
             if name in reads:
-                _check_finite(name, getattr(self, name))
+                _check_real(name, getattr(self, name), positive=name == "spacing_h")
         if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("axis_values must be non-empty and strictly increasing")
         if not _is_integer(self.trials) or self.trials < 100:
@@ -186,10 +186,16 @@ class ExperimentSpec:
                 raise ValueError(f"unknown estimator {est!r}; expected one of {tuple(METHODS)}")
         if len(set(self.estimators)) != len(list(self.estimators)):
             raise ValueError("estimator list contains duplicates")
-        if self.spacing_h is not None and not self.spacing_h > 0.0:
-            raise ValueError("spacing_h must be positive")
+        for name, kind in (("correlation_model", CorrelationModel), ("scene", Scene)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for v in vals:  # every point's FasLayout checks its port count and wavelength
-            _resolve_point(self, float(v))
+            layout = _resolve_point(self, float(v))[0]
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite RSSI
+                rssi = self.scene.profile(layout).at(self.scene.distance)
+            if not np.isfinite(rssi).all():
+                raise ValueError(f"the scene puts the noiseless RSSI beyond the float range "
+                                 f"at {self.sweep_axis} = {float(v)}")
 
     def to_dict(self):
         """Every field as plain JSON values (the scene as a nested dict)."""
@@ -264,12 +270,6 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_finite(name, value):
-    if not (_is_integer(_check_real(name, value)) or math.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _csv_cell(kind, value):
     if kind is float:
         return f"{value:.9g}"
@@ -284,8 +284,7 @@ def nmse_db(estimates, d_true):
     Accepts an array or a sequence of d_hat values. A zero error sum is
     floored at NMSE_FLOOR_DB instead of -inf.
     """
-    if d_true <= 0.0:
-        raise ValueError("d_true must be positive")
+    _check_real("d_true", d_true, positive=True)
     d_hats = np.asarray(estimates, dtype=float)
     if d_hats.size == 0:
         raise ValueError("empty estimate list")
@@ -326,7 +325,7 @@ def _resolve_point(spec, axis_value):
     point[AXES[spec.sweep_axis][0]] = axis_value
     if point["spacing_h"] is not None:  # a fixed pitch sets the port count
         ratio = point["aperture"] / point["spacing_h"]
-        point["n_ports"] = max(2, int(round(_check_finite("aperture / spacing_h", ratio))))
+        point["n_ports"] = max(2, int(round(_check_real("aperture / spacing_h", ratio))))
     layout = FasLayout(point["n_ports"], point["aperture"], spec.wavelength, spec.spacing)
     return layout, snr_to_sigma2(point["snr_db"])
 

@@ -17,7 +17,7 @@ correlated shadow-fading draw per snapshot on top of the noiseless profile.
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,20 +51,20 @@ class Scene:
     path_loss_exp: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_real(f.name, getattr(self, f.name))
-        if not (self.distance > 0.0) or not np.isfinite(self.distance):
-            raise ValueError(f"distance must be positive, got {self.distance}")
-        if not np.isfinite(self.bearing):
-            raise ValueError("bearing must be finite")
-        if self.gain_tx <= 0.0 or self.gain_rx <= 0.0:
-            raise ValueError("antenna gains must be positive (linear scale)")
-        if not (2.0 <= self.path_loss_exp <= 6.0):
-            raise ValueError(f"path_loss_exp must be in [2, 6], got {self.path_loss_exp}")
+        for name in ("distance", "gain_tx", "gain_rx"):
+            _check_real(name, getattr(self, name), positive=True)
+        _check_real("bearing", self.bearing)
+        _check_real("tx_power_dbm", self.tx_power_dbm)
+        _check_real("path_loss_exp", self.path_loss_exp, lo=2.0, hi=6.0)
 
     def amp_const(self, wavelength):
-        """Link amplitude constant A = sqrt(P_T lambda^2 G_T G_R) / (4 pi)."""
-        p_t_watts = 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)
+        """Link amplitude constant A = sqrt(P_T lambda^2 G_T G_R) / (4 pi);
+        a transmit power beyond the float range raises."""
+        try:
+            p_t_watts = 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)
+        except OverflowError:
+            raise ValueError(f"tx_power_dbm {self.tx_power_dbm} puts the transmit power "
+                             "beyond the float range") from None
         return float(np.sqrt(p_t_watts * wavelength ** 2 * self.gain_tx * self.gain_rx)
                      / (4.0 * np.pi))
 
@@ -83,11 +83,9 @@ class RssiProfile:
     """
 
     def __init__(self, layout, theta, amp_const, path_loss_exp):
-        if not math.isfinite(theta):
-            raise ValueError(f"bearing theta must be finite, got {theta}")
-        for name, value in (("amp_const", amp_const), ("path_loss_exp", path_loss_exp)):
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _check_real("theta", theta)
+        _check_real("amp_const", amp_const, positive=True)
+        _check_real("path_loss_exp", path_loss_exp, positive=True)
         self.n_ports = layout.n_ports
         self.amp_const = amp_const
         self.path_loss_exp = path_loss_exp

@@ -386,9 +386,11 @@ PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100
      "n_ports must be at most"),
     (json.dumps(SNR_SWEEP)[:-1] + ', "scene": {"bearing": 1e400}}', "bearing must be finite"),
     ("[1, 2]", "config root must be a JSON object"),
+    (json.dumps({**SNR_SWEEP, "scene": {"tx_power_dbm": 1e308}}), "tx_power_dbm"),
+    (json.dumps({**SNR_SWEEP, "scene": {"distance": 1e300}}), "noiseless RSSI"),
 ], ids=["unknown_axis", "no_estimators", "zero_pitch", "negative_pitch",
         "fractional_port_count", "port_count_over_the_cap", "aperture_over_the_cap",
-        "infinite_bearing", "array_root"])
+        "infinite_bearing", "array_root", "overflowing_tx_power", "overflowing_distance"])
 def test_reproduce_config_rejects_a_bad_spec_before_any_group_with_exit_2(
         tmp_path, capsys, monkeypatch, text, message):
     # a run that got past the spec would build N x N covariances first

@@ -176,6 +176,19 @@ def test_from_dict_rejects_bad_configs(cfg, message):
         ExperimentSpec.from_dict(cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("correlation_model", "jakes"), ("correlation_model", None), ("scene", None),
+    ("scene", {"distance": 10.0, "bearing": 1.0}),
+])
+def test_a_spec_built_in_python_checks_the_types_of_its_model_and_scene(field, value):
+    # a string model would otherwise fail later, in sha256() and build_covariance
+    with pytest.raises(ValueError, match=field):
+        small_spec(**{field: value})
+    spec = ExperimentSpec.from_dict(fig2_config(correlation_model="jakes"))
+    assert spec.correlation_model is CorrelationModel.JAKES_EXACT
+    assert len(spec.sha256()) == 64
+
+
 def test_a_spec_checks_itself_when_built():
     with pytest.raises(ValueError, match="trials"):
         small_spec(trials=50)

@@ -15,12 +15,17 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
 * the stdout of each script in ``demos/``, one digest per demo;
 * ``simulate_measurements`` over a fixed grid, one digest: the AVERAGE_MU
   model at N = 12, JAKES_EXACT at N = 50 and INDEPENDENT at N = 1, each at
-  seeds 7, (1, 2), () and 2**64 + 5 and at 1, 3 and 1000 snapshots.
+  seeds 7, (1, 2), () and 2**64 + 5 and at 1, 3 and 1000 snapshots;
+* the input boundary, one digest: the exit code of ``fasloc`` and whether
+  its stdout is empty, for each of a fixed table of bad ``reproduce
+  --config`` files and bad ``estimate`` flags. The error messages are left
+  out, so rewording one moves no line.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -43,6 +48,30 @@ SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXAC
                  (CorrelationModel.INDEPENDENT, 1))
 SIMULATE_SEEDS = (7, (1, 2), (), 2 ** 64 + 5)
 SIMULATE_SNAPSHOTS = (1, 3, 1000)
+SNR_SWEEP = {"sweep_axis": "snr_db", "axis_values": [0, 10], "trials": 100,
+             "estimators": ["fas_ls"], "layout": {"n_ports": 4, "aperture": 0.5}}
+APERTURE_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.2], "trials": 100,
+                  "estimators": ["fas_ls"], "snr_db": 10, "spacing_h": 0.05}
+PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100,
+              "estimators": ["fas_ls"], "snr_db": 10, "layout": {"aperture": 0.5}}
+# config files that ``reproduce --config`` must refuse, as file text
+BAD_CONFIGS = (
+    json.dumps({**SNR_SWEEP, "sweep_axis": "distance"}),
+    json.dumps({**SNR_SWEEP, "estimators": []}),
+    json.dumps({**APERTURE_SWEEP, "spacing_h": 0}),
+    json.dumps({**APERTURE_SWEEP, "spacing_h": -0.05}),
+    json.dumps({**PORT_SWEEP, "axis_values": [4, 4.5]}),
+    json.dumps({**PORT_SWEEP, "axis_values": [4, 10 ** 12]}),
+    json.dumps({**APERTURE_SWEEP, "axis_values": [0.1, 1000.0], "spacing_h": 0.001}),
+    json.dumps(SNR_SWEEP)[:-1] + ', "scene": {"bearing": 1e400}}',
+    "[1, 2]",
+    json.dumps({**SNR_SWEEP, "scene": {"tx_power_dbm": 1e308}}),
+    json.dumps({**SNR_SWEEP, "scene": {"distance": 1e300}}),
+)
+# flags that ``estimate`` must refuse on a valid capture (a repeated flag's
+# last value wins)
+BAD_ESTIMATE_FLAGS = (("--theta", "nan"), ("--amp-const", "0"), ("--bracket", "5", "1"),
+                      ("--tolerance", "inf"))
 
 
 def _sha(data):
@@ -110,11 +139,35 @@ def simulate_digests():
            f"seeds x {len(SIMULATE_SNAPSHOTS)} snapshot counts"), digest.hexdigest()
 
 
+def boundary_digests(work):
+    """(name, sha256) of the exit code and stdout emptiness of ``fasloc`` on
+    each bad input, each run in a process of its own."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    rows, theta = workloads.capture_rows("ls", 0)
+    capture = work / "boundary_capture.csv"
+    workloads.write_capture(capture, rows)
+    runs = []
+    for index, text in enumerate(BAD_CONFIGS):
+        path = work / f"boundary_{index}.json"
+        path.write_text(text, encoding="utf-8")
+        runs.append(["reproduce", "--config", str(path),
+                     "--out", str(work / f"boundary_{index}.csv")])
+    runs += [[*workloads.estimate_argv("ls", capture, theta), *flags]
+             for flags in BAD_ESTIMATE_FLAGS]
+    digest = hashlib.sha256()
+    for index, argv in enumerate(runs):
+        proc = subprocess.run([sys.executable, "-m", "fasloc", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=600)
+        digest.update(f"{index} {proc.returncode} {proc.stdout == b''}\n".encode("utf-8"))
+    yield f"boundary: exit code and empty stdout of {len(runs)} bad inputs", digest.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, digest in [*sweep_digests(work), *estimate_digests(work),
-                             *demo_digests(work), *simulate_digests()]:
+                             *demo_digests(work), *simulate_digests(),
+                             *boundary_digests(work)]:
             print(f"{digest}  {name}")
 
 
