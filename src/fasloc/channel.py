@@ -66,10 +66,15 @@ _MASK32 = 0xFFFFFFFF
 def _check_real(name, value, lo=-math.inf, hi=math.inf, positive=False):
     """``value`` if it is a finite real number in [lo, hi], and above 0 when
     ``positive``, else ValueError naming ``name``. A bool, a string, None or an
-    array is not a number; an int of any size is finite."""
+    array is not a number; an int is finite when it converts to a float, and
+    is returned unchanged."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+    try:
+        finite = math.isfinite(value)  # converts an int to a float
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int beyond the float range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if positive and not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")

@@ -40,11 +40,10 @@ def _info(msg):
 
 @functools.cache
 def _build_parser():
-    """The ``fasloc`` parser, built on first use and shared by every call.
-
-    Building it costs about as much as the solve of an ``estimate`` call;
-    ``parse_args`` leaves it unchanged and every default is immutable, so
-    one parser serves all calls in a process.
+    """The ``fasloc`` parser and its command parsers by name, built on first
+    use and shared by every call: building them costs about as much as the
+    solve of an ``estimate`` call, ``parse_args`` leaves them unchanged and
+    every default is immutable.
     """
     parser = argparse.ArgumentParser(prog="fasloc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fasloc {__version__}")
@@ -85,7 +84,17 @@ def _build_parser():
                          help="print layout correlation diagnostics as JSON")
     ins.add_argument("--model", choices=[m.value for m in CorrelationModel],
                      default=CorrelationModel.AVERAGE_MU.value)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """``argv``'s Namespace: a command's arguments go straight to its parser,
+    as the top-level one would forward them; other lists go to the top."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def _read_config(path):
@@ -210,8 +219,7 @@ def _cmd_inspect(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "reproduce":
             return _cmd_reproduce(args)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_argv_table as argv_table
 from fasloc import cli, experiments
 from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
                             average_mu_squared, build_covariance)
@@ -388,9 +389,11 @@ PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100
     ("[1, 2]", "config root must be a JSON object"),
     (json.dumps({**SNR_SWEEP, "scene": {"tx_power_dbm": 1e308}}), "tx_power_dbm"),
     (json.dumps({**SNR_SWEEP, "scene": {"distance": 1e300}}), "noiseless RSSI"),
+    (json.dumps({**SNR_SWEEP, "scene": {"distance": 10 ** 400}}), "distance must be finite"),
 ], ids=["unknown_axis", "no_estimators", "zero_pitch", "negative_pitch",
         "fractional_port_count", "port_count_over_the_cap", "aperture_over_the_cap",
-        "infinite_bearing", "array_root", "overflowing_tx_power", "overflowing_distance"])
+        "infinite_bearing", "array_root", "overflowing_tx_power", "overflowing_distance",
+        "int_distance_beyond_floats"])
 def test_reproduce_config_rejects_a_bad_spec_before_any_group_with_exit_2(
         tmp_path, capsys, monkeypatch, text, message):
     # a run that got past the spec would build N x N covariances first
@@ -853,6 +856,40 @@ def test_the_shared_parser_carries_no_state_between_calls(tmp_path):
     assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 2, 0, 0, 0]
     assert shared[0] == shared[-1]
     assert shared[0][1] == ESTIMATE_LINES["mle"] + "\n"
+
+
+# ---------------------------------------------------------------- one parse per call
+
+def parse_exit(parse, argv):
+    """Exit code, stdout and stderr of a parse that argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", argv_table.VALID.values(), ids=argv_table.VALID)
+def test_one_parse_gives_the_namespace_of_the_top_level_parser(argv):
+    parser, _ = cli._build_parser()
+    assert vars(cli._parse_args(argv)) == vars(parser.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [*argv_table.EXITS.values(), *argv_table.UNRECOGNIZED.values()],
+                         ids=[*argv_table.EXITS, *(f"{c}_unrecognized" for c in
+                                                   argv_table.UNRECOGNIZED)])
+def test_one_parse_exits_as_the_top_level_parser_does(argv):
+    parser, _ = cli._build_parser()
+    code, out, _ = parse_exit(cli._parse_args, argv)
+    assert (code, out) == parse_exit(parser.parse_args, argv)[:2]
+
+
+@pytest.mark.parametrize("command", argv_table.UNRECOGNIZED)
+def test_an_unrecognized_flag_is_reported_by_its_command(command):
+    code, out, err = parse_exit(cli._parse_args, argv_table.UNRECOGNIZED[command])
+    assert (code, out) == (2, "")
+    assert f"usage: fasloc {command}" in err
+    assert f"fasloc {command}: error: unrecognized arguments:" in err
 
 
 def run_module(*argv):

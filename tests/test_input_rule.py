@@ -57,6 +57,7 @@ CASES = {
                                                    "snr_db": st.floats(-10.0, 30.0)}),
 }
 NOT_FINITE_REALS = st.sampled_from([math.nan, math.inf, -math.inf, True, "1"])
+BEYOND_FLOATS = 10 ** 400  # an int that float() overflows on
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -107,6 +108,9 @@ VALID = {"FasLayout": {"n_ports": 4, "aperture": 0.5, "wavelength": 0.125},
     ("ExperimentSpec(aperture_w)", "spacing_h", -0.05),
     ("ExperimentSpec(aperture_w)", "spacing_h", 1e-320),
     ("ExperimentSpec(aperture_w)", "snr_db", "10"),
+    *(pytest.param(case, name, BEYOND_FLOATS, id=f"{case}-{name}-int_beyond_floats")
+      for case, name in (("Scene", "distance"), ("FasLayout", "wavelength"),
+                         ("EstimatorConfig", "d_max"), ("ExperimentSpec(snr_db)", "axis_values"))),
 ])
 def test_each_kind_of_bad_value_is_rejected_naming_its_field(case, name, value):
     # one row per field and kind: zero, negative, out of range, not finite, wrong type
@@ -116,8 +120,11 @@ def test_each_kind_of_bad_value_is_rejected_naming_its_field(case, name, value):
         build(**{**VALID[case], name: value})
 
 
-def test_the_rule_takes_any_int_and_no_array():
-    assert _check_real("x", 2 ** 2000, lo=0) == 2 ** 2000
+def test_the_rule_takes_an_int_in_the_float_range_and_no_array():
+    assert _check_real("x", 2 ** 1000, lo=0) == 2 ** 1000
+    for value in (2 ** 2000, -BEYOND_FLOATS):
+        with pytest.raises(ValueError, match="x must be finite"):
+            _check_real("x", value)
     assert _check_real("x", np.float32(0.5), positive=True) == np.float32(0.5)
     for value in (np.array(0.5), np.array([0.5]), np.True_, 1j, None):
         with pytest.raises(ValueError, match="x must be a number"):

@@ -19,7 +19,14 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
 * the input boundary, one digest: the exit code of ``fasloc`` and whether
   its stdout is empty, for each of a fixed table of bad ``reproduce
   --config`` files and bad ``estimate`` flags. The error messages are left
-  out, so rewording one moves no line.
+  out, so rewording one moves no line;
+* command-line parsing, one digest: the exit code and stdout of ``fasloc``
+  on each argument list of ``tests/cli_argv_table.py`` (valid calls of each
+  command, help, version, and lists that argparse refuses), each run with
+  ``COLUMNS=80`` so that help text does not depend on the terminal.
+
+Each ``fasloc`` run of the last two lines is a ``python -m fasloc`` process
+of its own, so they also cover ``main`` reading ``sys.argv``.
 """
 
 import contextlib
@@ -35,13 +42,18 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-sys.dont_write_bytecode = True  # nothing is written under perfbench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+sys.dont_write_bytecode = True  # nothing is written under perfbench/ or tests/
 
 from fasloc import (CorrelationModel, FasLayout, Scene, build_covariance, cli,  # noqa: E402
                     simulate_measurements)
+import cli_argv_table  # noqa: E402
 import workloads  # noqa: E402
 
+# the environment of every process the digests run: this checkout's package,
+# and help text at one width whatever the terminal
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+             "COLUMNS": "80"}
 SWEEPS = {"fig2": ("--trials", "2000"), "fig3": ()}
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXACT, 50),
@@ -67,6 +79,7 @@ BAD_CONFIGS = (
     "[1, 2]",
     json.dumps({**SNR_SWEEP, "scene": {"tx_power_dbm": 1e308}}),
     json.dumps({**SNR_SWEEP, "scene": {"distance": 1e300}}),
+    json.dumps({**SNR_SWEEP, "scene": {"distance": 10 ** 400}}),
 )
 # flags that ``estimate`` must refuse on a valid capture (a repeated flag's
 # last value wins)
@@ -115,9 +128,8 @@ def estimate_digests(work):
 
 def demo_digests(work):
     """(name, sha256) of each demo script's stdout, run from ``work``."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     for demo in DEMOS:
-        proc = subprocess.run([sys.executable, str(demo)], cwd=work, env=env,
+        proc = subprocess.run([sys.executable, str(demo)], cwd=work, env=CHILD_ENV,
                               capture_output=True, check=True, timeout=600)
         yield f"demo {demo.name}: stdout", _sha(proc.stdout)
 
@@ -142,7 +154,6 @@ def simulate_digests():
 def boundary_digests(work):
     """(name, sha256) of the exit code and stdout emptiness of ``fasloc`` on
     each bad input, each run in a process of its own."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     rows, theta = workloads.capture_rows("ls", 0)
     capture = work / "boundary_capture.csv"
     workloads.write_capture(capture, rows)
@@ -156,10 +167,29 @@ def boundary_digests(work):
              for flags in BAD_ESTIMATE_FLAGS]
     digest = hashlib.sha256()
     for index, argv in enumerate(runs):
-        proc = subprocess.run([sys.executable, "-m", "fasloc", *argv], cwd=work, env=env,
+        proc = subprocess.run([sys.executable, "-m", "fasloc", *argv], cwd=work, env=CHILD_ENV,
                               capture_output=True, timeout=600)
         digest.update(f"{index} {proc.returncode} {proc.stdout == b''}\n".encode("utf-8"))
     yield f"boundary: exit code and empty stdout of {len(runs)} bad inputs", digest.hexdigest()
+
+
+def parse_digests(work):
+    """(name, sha256) of the exit code and stdout of ``fasloc`` on each
+    argument list of the parse table, each run in a process of its own from
+    a directory that holds the files the lists name."""
+    work = work / "parse"
+    work.mkdir()
+    for method, name in (("ls", "capture12.csv"), ("single", "capture1.csv")):
+        workloads.write_capture(work / name, workloads.capture_rows(method, 0)[0])
+    (work / "sweep.json").write_text(json.dumps(SNR_SWEEP), encoding="utf-8")
+    runs = [*cli_argv_table.VALID.values(), *cli_argv_table.EXITS.values(),
+            *cli_argv_table.UNRECOGNIZED.values()]
+    digest = hashlib.sha256()
+    for index, argv in enumerate(runs):
+        proc = subprocess.run([sys.executable, "-m", "fasloc", *argv], cwd=work, env=CHILD_ENV,
+                              capture_output=True, timeout=600)
+        digest.update(f"{index} {proc.returncode}\n".encode("utf-8") + proc.stdout)
+    yield f"cli parse: exit code and stdout of {len(runs)} argument lists", digest.hexdigest()
 
 
 def main():
@@ -167,7 +197,7 @@ def main():
         work = Path(tmp)
         for name, digest in [*sweep_digests(work), *estimate_digests(work),
                              *demo_digests(work), *simulate_digests(),
-                             *boundary_digests(work)]:
+                             *boundary_digests(work), *parse_digests(work)]:
             print(f"{digest}  {name}")
 
 
