@@ -14,6 +14,7 @@ error, 3 numerical non-convergence, 4 model-validity error.
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 EXIT_MODEL = 4
+# a string that argparse takes for a negative number rather than a flag: its
+# own rule, "^-\d+$|^-\d*\.\d+$", leaves out the exponent form
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _info(msg):
@@ -84,6 +88,8 @@ def _build_parser():
                          help="print layout correlation diagnostics as JSON")
     ins.add_argument("--model", choices=[m.value for m in CorrelationModel],
                      default=CorrelationModel.AVERAGE_MU.value)
+    for each in (parser, *sub.choices.values()):  # "--theta -1e3" is a value, not a flag
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, sub.choices
 
 

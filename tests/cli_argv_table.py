@@ -21,6 +21,9 @@ VALID = {
     "estimate_negative_theta": [*ESTIMATE, "--theta", "-1.5", "--method", "ls"],
     "estimate_negative_theta_equals_form": [*ESTIMATE, "--theta=-1.5", "--path-loss-exp=3"],
     "estimate_exponent_theta_equals_form": [*ESTIMATE, "--theta=-1e3"],
+    "estimate_detached_exponent_theta": [*ESTIMATE, "--theta", "-1e3"],
+    "estimate_detached_negative_exponent_theta": [*ESTIMATE, "--theta", "-1e-3"],
+    "estimate_detached_leading_point_theta": [*ESTIMATE, "--theta", "-.5"],
     "estimate_single": ["estimate", "--input", "capture1.csv", "--n-ports", "1",
                         "--aperture", "0", "--amp-const", "3.14557575653044e-4",
                         "--theta", "0.5", "--method", "single"],
@@ -45,7 +48,6 @@ EXITS = {
     "reproduce_bad_preset": ["reproduce", "fig4"],
     "estimate_bad_method": [*ESTIMATE, "--theta", "1.0", "--method", "newton"],
     "inspect_bad_n_ports": ["inspect", "--n-ports", "twelve", "--aperture", "0.5"],
-    "estimate_detached_exponent_theta": [*ESTIMATE, "--theta", "-1e3"],
 }
 # lists with a flag that their command does not know, by command
 UNRECOGNIZED = {

@@ -892,6 +892,17 @@ def test_an_unrecognized_flag_is_reported_by_its_command(command):
     assert f"fasloc {command}: error: unrecognized arguments:" in err
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1e-3", "-.5", "-1E+2", "-1."])
+def test_a_detached_negative_number_in_exponent_or_point_form_is_a_value(value):
+    assert cli._parse_args([*argv_table.ESTIMATE, "--theta", value]).theta == float(value)
+
+
+def test_a_detached_negative_infinity_is_still_taken_for_a_flag():
+    code, out, err = parse_exit(cli._parse_args, [*argv_table.ESTIMATE, "--theta", "-inf"])
+    assert (code, out) == (2, "")
+    assert "argument --theta: expected one argument" in err
+
+
 def run_module(*argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,

@@ -1,7 +1,8 @@
 """Properties of the batched solvers on random geometries, readings and
 brackets: every estimate lies inside its bracket, every row solved alone
-equals its batch row, and a weighted-ML row whose g changes sign on the
-scan grid comes back with a root."""
+equals its batch row, a weighted-ML row whose g changes sign on the scan
+grid comes back with a root, noiseless readings of a far-field scene give
+back its distance, and the scan grid is ``np.geomspace``'s."""
 
 import math
 import warnings
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fasloc.channel import FasLayout, average_mu_squared
-from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, kappa_constant, solve_ls,
-                               solve_mle)
+from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, _scan_grid, kappa_constant,
+                               solve_ls, solve_mle)
 from fasloc.forward_model import RssiProfile
 
 EPS = np.finfo(float).eps
@@ -136,3 +137,61 @@ def test_mle_on_extreme_inputs_raises_or_returns_finite_values(lo, n_ports, froz
                 continue
         assert np.isfinite(batch.d_hat).all()
         assert np.isfinite(batch.objective_value).all()
+
+
+@st.composite
+def far_field_scenes(draw):
+    """A layout, a link model and a distance 10 to 500 port spans away."""
+    layout = FasLayout(draw(st.integers(2, 40)), draw(st.floats(0.05, 2.0)),
+                       draw(st.floats(0.01, 1.0)), draw(st.sampled_from(["endpoint", "index"])))
+    profile = RssiProfile(layout, draw(st.floats(-math.pi, math.pi)),
+                          draw(st.floats(1e-6, 1e-2)), draw(st.floats(2.0, 6.0)))
+    return layout, profile, draw(st.floats(10.0, 500.0)) * layout.span_m
+
+
+# three ports on a 2/3 m track, a transmitter 10 spans away along it: the
+# least-squares scan starts on the middle port
+ON_PORT_LAYOUT = FasLayout(3, 1.0, 1.0, "endpoint")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(scene=far_field_scenes())
+@example(scene=(ON_PORT_LAYOUT, RssiProfile(ON_PORT_LAYOUT, 0.0, 1e-4, 2.0),
+                10.0 * ON_PORT_LAYOUT.span_m))
+def test_noiseless_far_field_readings_give_back_the_distance(scene):
+    layout, profile, d = scene
+    cfg = EstimatorConfig(search_bracket=(d / 20.0, 20.0 * d))
+    X = profile.at(d)[np.newaxis]
+    a = average_mu_squared(layout)
+    for solve in (solve_ls, lambda X, profile, cfg: solve_mle(X, profile, a, cfg)):
+        try:
+            batch = solve(X, profile, cfg)
+        except ValueError as exc:
+            # the bracket reaches into the port track, and at a bearing along
+            # it a least-squares scan point (also of weighted ML's anchor) can
+            # land on a port, where the model is singular
+            assert "coincides with a port" in str(exc)
+            with pytest.raises(ValueError, match="coincides with a port"):
+                profile.dist_sq(_scan_grid(*cfg.search_bracket))
+            continue
+        assert batch.converged[0]
+        assert abs(batch.d_hat[0] - d) <= cfg.tolerance
+
+
+# a bracket end as a Python float over the whole positive range, an int, a
+# float32, or any of these as a 0-d array
+BRACKET_ENDS = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                         st.integers(1, 2 ** 63 - 1),
+                         st.floats(0.0, exclude_min=True, allow_infinity=False,
+                                   width=32).map(np.float32))
+BRACKET_ENDS = BRACKET_ENDS | BRACKET_ENDS.map(np.array)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(lo=BRACKET_ENDS, hi=BRACKET_ENDS)
+@example(lo=5e-324, hi=1.7e308)
+@example(lo=1.0, hi=math.nextafter(1.0, 2.0))
+def test_the_scan_grid_is_the_bits_of_geomspace(lo, hi):
+    with np.errstate(over="ignore"):  # 10**log10(hi) near the float limit; hi replaces it
+        grid, want = _scan_grid(lo, hi), np.geomspace(lo, hi, _SCAN_POINTS)
+    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
