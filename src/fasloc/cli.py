@@ -33,9 +33,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 EXIT_MODEL = 4
-# a string that argparse takes for a negative number rather than a flag: its
-# own rule, "^-\d+$|^-\d*\.\d+$", leaves out the exponent form
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# a negative finite number in any form that float() reads, for argparse to
+# take as a value rather than a flag where its own rule (on Python 3.10.13
+# to 3.13.0, "^-\d+$|^-\d*\.\d+$") leaves out the exponent and underscore forms
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?$")
 
 
 def _info(msg):
@@ -88,8 +91,9 @@ def _build_parser():
                          help="print layout correlation diagnostics as JSON")
     ins.add_argument("--model", choices=[m.value for m in CorrelationModel],
                      default=CorrelationModel.AVERAGE_MU.value)
-    for each in (parser, *sub.choices.values()):  # "--theta -1e3" is a value, not a flag
-        each._negative_number_matcher = _NEGATIVE_NUMBER
+    if not parser._negative_number_matcher.match("-1e3"):  # "--theta -1e3" is a value
+        for each in (parser, *sub.choices.values()):
+            each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, sub.choices
 
 

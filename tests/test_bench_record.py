@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
@@ -10,14 +13,20 @@ bench_record = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_record)
 
 ENVIRONMENT = {"nproc": 2, "python": "3.11.7"}
+SECONDS = bench_record.BENCHMARK["run_seconds"]
 
 
-def write_record(directory, pair, side, trials_per_s, p50_us):
-    record = {"workload": "estimate_cli", "seed": 3, "trace": 0, "correct": True,
-              "attempted": 100, "failed": 0, "environment": ENVIRONMENT,
+def code(side):
+    return {"git_commit": None, "src_sha256": side}
+
+
+def write_record(directory, pair, side, trials_per_s, p50_us, seconds=SECONDS, checkout=None):
+    record = {"workload": "estimate_cli", "seed": 3, "trace": 0, "seconds": seconds,
+              "correct": True, "attempted": 100, "failed": 0, "environment": ENVIRONMENT,
               "metrics": {"trials_per_s": {"value": trials_per_s, "unit": "1/s"},
                           "estimate_p50_us": {"value": p50_us, "unit": "us"}},
-              "run": {"op_seconds": [0.001, 0.002, 0.003, 0.004, 0.005]}}
+              "run": {"op_seconds": [0.001, 0.002, 0.003, 0.004, 0.005]},
+              "checkout": checkout or code(side)}
     (directory / f"estimate_cli_s3_t0_p{pair}_{side}.json").write_text(json.dumps(record))
 
 
@@ -42,5 +51,35 @@ def test_summary_gives_medians_quartiles_and_wins_per_metric(tmp_path, capsys):
     assert tps["parent"] == {"n": 5, "median": 120.0, "q1": 110.0, "q3": 130.0}
     assert tps["change"]["median"] == 160.0
     assert tps["gap_exceeds_parent_iqr"]
+    assert (tps["parent_checkout"], tps["change_checkout"]) == (code("parent"), code("change"))
     # lower is better for a latency: the same pairs win
     assert rows["estimate_p50_us"]["change_wins"] == 4
+
+
+@pytest.mark.parametrize("odd, message", [
+    ({"seconds": SECONDS / 2}, f"estimate_cli_s3_t0_p2_change.json: a {SECONDS / 2} s run"),
+    ({"checkout": code("other")}, "estimate_cli_3_0: the change runs ran different code")],
+    ids=["shorter run", "other code"])
+def test_summary_refuses_a_run_unlike_the_rest_of_its_side(tmp_path, odd, message):
+    for pair in (1, 2):
+        write_record(tmp_path, pair, "parent", 100.0, 1e4)
+    write_record(tmp_path, 1, "change", 110.0, 9e3)
+    write_record(tmp_path, 2, "change", 110.0, 9e3, **odd)
+    with pytest.raises(SystemExit) as stop:
+        bench_record.main(["summarize", str(tmp_path)])
+    assert str(stop.value).startswith(message)
+
+
+def test_a_checkout_is_its_commit_and_the_hash_of_its_sources(tmp_path):
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    before = bench_record.checkout(tmp_path)
+    assert before["git_commit"] is None
+    (tmp_path / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"cache")
+    assert bench_record.checkout(tmp_path) == before
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("x = 2\n")
+    assert bench_record.checkout(tmp_path)["src_sha256"] != before["src_sha256"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                    "--allow-empty", "-m", "empty"], cwd=tmp_path, check=True)
+    assert len(bench_record.checkout(tmp_path)["git_commit"]) == 40

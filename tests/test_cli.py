@@ -892,13 +892,16 @@ def test_an_unrecognized_flag_is_reported_by_its_command(command):
     assert f"fasloc {command}: error: unrecognized arguments:" in err
 
 
-@pytest.mark.parametrize("value", ["-1e3", "-1e-3", "-.5", "-1E+2", "-1."])
-def test_a_detached_negative_number_in_exponent_or_point_form_is_a_value(value):
+# each form of a negative finite number that float() reads
+@pytest.mark.parametrize("value", ["-1", "-1.5", "-1.", "-.5", "-1e3", "-1e-3", "-1E+2",
+                                   "-1.5e3", "-.5e-1", "-1.e2", "-1_000", "-1_0.2_5e1_0"])
+def test_a_detached_negative_number_in_any_float_form_is_a_value(value):
     assert cli._parse_args([*argv_table.ESTIMATE, "--theta", value]).theta == float(value)
 
 
-def test_a_detached_negative_infinity_is_still_taken_for_a_flag():
-    code, out, err = parse_exit(cli._parse_args, [*argv_table.ESTIMATE, "--theta", "-inf"])
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_a_detached_negative_infinity_or_nan_is_still_taken_for_a_flag(value):
+    code, out, err = parse_exit(cli._parse_args, [*argv_table.ESTIMATE, "--theta", value])
     assert (code, out) == (2, "")
     assert "argument --theta: expected one argument" in err
 

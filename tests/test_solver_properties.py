@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fasloc.channel import FasLayout, average_mu_squared
@@ -149,15 +149,8 @@ def far_field_scenes(draw):
     return layout, profile, draw(st.floats(10.0, 500.0)) * layout.span_m
 
 
-# three ports on a 2/3 m track, a transmitter 10 spans away along it: the
-# least-squares scan starts on the middle port
-ON_PORT_LAYOUT = FasLayout(3, 1.0, 1.0, "endpoint")
-
-
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(scene=far_field_scenes())
-@example(scene=(ON_PORT_LAYOUT, RssiProfile(ON_PORT_LAYOUT, 0.0, 1e-4, 2.0),
-                10.0 * ON_PORT_LAYOUT.span_m))
 def test_noiseless_far_field_readings_give_back_the_distance(scene):
     layout, profile, d = scene
     cfg = EstimatorConfig(search_bracket=(d / 20.0, 20.0 * d))
@@ -167,15 +160,29 @@ def test_noiseless_far_field_readings_give_back_the_distance(scene):
         try:
             batch = solve(X, profile, cfg)
         except ValueError as exc:
-            # the bracket reaches into the port track, and at a bearing along
-            # it a least-squares scan point (also of weighted ML's anchor) can
-            # land on a port, where the model is singular
+            # the open defect of the test below: only a scan point on a port
             assert "coincides with a port" in str(exc)
             with pytest.raises(ValueError, match="coincides with a port"):
                 profile.dist_sq(_scan_grid(*cfg.search_bracket))
+            event("solver raised: a least-squares scan point on a port")
             continue
         assert batch.converged[0]
         assert abs(batch.d_hat[0] - d) <= cfg.tolerance
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="open defect (ROADMAP item 5): the bracket reaches into the port "
+                          "track at a bearing along it, and a least-squares scan point "
+                          "lands on a port")
+def test_a_far_field_capture_along_the_track_gives_back_the_distance():
+    # three ports on a 2/3 m track, a transmitter 10 spans away along it: the
+    # least-squares scan starts on the middle port
+    layout = FasLayout(3, 1.0, 1.0, "endpoint")
+    profile, d = RssiProfile(layout, 0.0, 1e-4, 2.0), 10.0 * layout.span_m
+    cfg = EstimatorConfig(search_bracket=(d / 20.0, 20.0 * d))
+    batch = solve_ls(profile.at(d)[np.newaxis], profile, cfg)
+    assert batch.converged[0]
+    assert abs(batch.d_hat[0] - d) <= cfg.tolerance
 
 
 # a bracket end as a Python float over the whole positive range, an int, a
