@@ -158,7 +158,7 @@ class CovarianceMatrix:
 
     entries: np.ndarray
     shift: float = 0.0
-    raw_eigenvalues: np.ndarray = None  # the raw matrix's, ascending, from the PSD check
+    raw_eigenvalues: np.ndarray = None  # JAKES_EXACT only: the raw matrix's, ascending
 
     @property
     def dim(self):
@@ -172,8 +172,13 @@ class CovarianceMatrix:
         """Lower-triangular-like factor L with L @ L.T == entries.
 
         Cholesky when positive definite, symmetric eigenfactor otherwise
-        (covers PSD-singular cases such as a fully correlated matrix).
+        (covers PSD-singular cases such as a fully correlated matrix). A
+        diagonal matrix with a positive diagonal takes the square roots of
+        its diagonal, which are Cholesky's bits.
         """
+        diag = np.diag(self.entries)
+        if (diag > 0.0).all() and np.count_nonzero(self.entries) == diag.size:
+            return np.diag(np.sqrt(diag))
         try:
             return np.linalg.cholesky(self.entries)
         except np.linalg.LinAlgError:
@@ -222,24 +227,28 @@ def build_covariance(layout, model, sigma2):
     If the raw R has a (numerically) negative smallest eigenvalue it is
     diagonally loaded by |eig_min| + 1e-12 and the repair is recorded;
     a repair larger than ``PSD_SHIFT_LIMIT`` raises ModelValidityError.
+    eig_min is read from the closed-form spectrum of the equicorrelated
+    matrix and of the identity; only a JAKES_EXACT matrix is decomposed.
     """
     _check_real("sigma2", sigma2, positive=True)
     n = layout.n_ports
+    eigs = None
     if model is CorrelationModel.INDEPENDENT:
-        r = np.eye(n)
+        r, eig_min = np.eye(n), 1.0
     elif model is CorrelationModel.AVERAGE_MU:
         a = average_mu_squared(layout)
         r = np.full((n, n), a)
         np.fill_diagonal(r, 1.0)
+        eig_min = min(1.0 - a, 1.0 + (n - 1) * a)  # (1-a)I + a*11^T: 1-a, and 1+(N-1)a once
     elif model is CorrelationModel.JAKES_EXACT:
         idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         r = lag_correlations(layout)[idx]
+        eigs = np.linalg.eigvalsh(r)
+        eig_min = float(eigs[0])
     else:
         raise ValueError(f"unknown correlation model: {model!r}")
 
     shift = 0.0
-    eigs = np.linalg.eigvalsh(r)
-    eig_min = float(eigs[0])
     if eig_min < 0.0:
         shift = -eig_min + _PSD_PAD
         if shift > PSD_SHIFT_LIMIT:

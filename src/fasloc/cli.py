@@ -207,8 +207,9 @@ def _cmd_inspect(args):
     mu2 = average_mu_squared(layout)
     kappa = kappa_constant(mu2, layout.n_ports) if mu2 < 1.0 else None
     cov = build_covariance(layout, model, 1.0)
-    # at sigma2 = 1 an unrepaired matrix is the raw one, already decomposed
-    eigs = np.linalg.eigvalsh(cov.entries) if cov.regularized else cov.raw_eigenvalues
+    # at sigma2 = 1 an unrepaired Jakes matrix is the raw one, already decomposed
+    raw = None if cov.regularized else cov.raw_eigenvalues
+    eigs = np.linalg.eigvalsh(cov.entries) if raw is None else raw
     if model is CorrelationModel.INDEPENDENT:
         profile = [1.0] + [0.0] * (layout.n_ports - 1)
     else:

@@ -73,6 +73,8 @@ MAX_ITERATIONS = 200
 # stay within it too. Squared residuals and the scan's expanded sums stay
 # near 1e200, so no sum over any realistic port count can overflow.
 READING_LIMIT_DBM = 1e100
+# Largest bracket end: the model squares the distance, and beyond this d**2 overflows.
+D_LIMIT = math.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -86,6 +88,9 @@ class EstimatorConfig:
         if not _check_real("d_min", lo, positive=True) < _check_real("d_max", hi):
             raise ValueError(f"search bracket must satisfy 0 < d_min < d_max, "
                              f"got {self.search_bracket}")
+        if hi > D_LIMIT:
+            raise ValueError(f"search bracket end d_max must be at most {D_LIMIT:.6g}, where "
+                             f"its square overflows, got {hi!r}")
         _check_real("tolerance", self.tolerance, positive=True)
 
 
