@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fasloc.channel as channel
-from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
+from fasloc.channel import (CorrelationModel, CovarianceMatrix, FasLayout, ModelValidityError,
                             average_mu_squared, build_covariance, lag_correlations)
 from fasloc.forward_model import Scene, simulate_measurements
 from fasloc.specfun import bessel_j0
@@ -14,12 +16,36 @@ J0_PI_OVER_11 = 0.9797119759440423   # J0(pi/11)
 MU2_12_05_ENDPOINT = 0.6001041903598960
 MU2_12_05_INDEX = 0.0316788287373986
 FAR_SCENE = Scene(distance=100.0, bearing=1.0)  # far field of every layout below
+EPS = float(np.finfo(float).eps)
 
 
 def fading(layout, cov, seed, n_snapshots):
     """The fading rows of simulate_measurements: its readings less the profile."""
     rows = simulate_measurements(layout, FAR_SCENE, cov, seed, n_snapshots)
     return rows - FAR_SCENE.profile(layout).at(FAR_SCENE.distance)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dense_covariance(layout, model, sigma2):
+    """build_covariance and factor() with the PSD check on eigvalsh, for the
+    equicorrelated and independent models: (eig_min, entries, shift, factor)."""
+    n = layout.n_ports
+    r = np.eye(n)
+    if model is CorrelationModel.AVERAGE_MU:
+        r = np.full((n, n), average_mu_squared(layout))
+        np.fill_diagonal(r, 1.0)
+    eig_min = float(np.linalg.eigvalsh(r)[0])
+    shift = -eig_min + channel._PSD_PAD if eig_min < 0.0 else 0.0
+    entries = sigma2 * (r + shift * np.eye(n) if shift else r)
+    try:
+        factor = np.linalg.cholesky(entries)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(entries)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+    return eig_min, entries, shift, factor
 
 
 # ---------------------------------------------------------------- layouts
@@ -197,8 +223,8 @@ def test_psd_repair_overflow_raises(monkeypatch):
 
 
 def test_fully_correlated_matrix_still_samples():
-    # W = 0 gives the all-ones matrix; ports move together up to the tiny
-    # PSD-repair jitter on the diagonal
+    # W = 0 gives the all-ones matrix; ports move together up to the rounding
+    # of its eigenvector factor
     lay = FasLayout(6, 0.0)
     cov = build_covariance(lay, CorrelationModel.AVERAGE_MU, 1.0)
     draws = fading(lay, cov, 5, 4)
@@ -215,6 +241,61 @@ def test_a_singular_covariance_factors_through_its_eigenvectors():
         np.linalg.cholesky(cov.entries)
     factor = cov.factor()
     assert np.array_equal(factor @ factor.T, cov.entries)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n_ports=st.integers(2, 64),
+       aperture=st.just(0.0) | st.floats(0.0, 1e-6) | st.floats(0.0, 3.0),
+       spacing=st.sampled_from(["endpoint", "index"]), sigma2=st.floats(1e-8, 1e4),
+       model=st.sampled_from([CorrelationModel.AVERAGE_MU, CorrelationModel.INDEPENDENT]))
+def test_the_closed_form_psd_check_keeps_the_dense_bits(n_ports, aperture, spacing, sigma2,
+                                                         model):
+    # the spectrum of (1 - a)I + a*11^T is 1 - a and 1 + (N - 1)a, of I is 1
+    layout = FasLayout(n_ports, aperture, spacing=spacing)
+    eig_min, entries, shift, factor = dense_covariance(layout, model, sigma2)
+    a = average_mu_squared(layout) if model is CorrelationModel.AVERAGE_MU else 0.0
+    assert abs(min(1.0 - a, 1.0 + (n_ports - 1) * a) - eig_min) <= 8 * n_ports * EPS
+    cov = build_covariance(layout, model, sigma2)
+    assert cov.raw_eigenvalues is None
+    if eig_min >= 0.0:
+        assert cov.shift == shift == 0.0
+        assert same_bits(cov.entries, entries) and same_bits(cov.factor(), factor)
+    else:  # a rounding-level negative eigenvalue of R, which the exact spectrum has not
+        assert cov.shift == 0.0 and not cov.regularized
+
+
+@pytest.mark.parametrize("n_ports", [3, 12, 100])
+def test_a_fully_correlated_matrix_is_not_repaired(n_ports):
+    # W = 0: mu^2 = 1 and the exact smallest eigenvalue is 0, where eigvalsh
+    # reads about -1.5e-15; Cholesky fails and the eigenvector factor serves
+    cov = build_covariance(FasLayout(n_ports, 0.0), CorrelationModel.AVERAGE_MU, 1.0)
+    assert cov.shift == 0.0 and not cov.regularized
+    assert np.array_equal(cov.entries, np.ones((n_ports, n_ports)))
+    factor = cov.factor()
+    np.testing.assert_allclose(factor @ factor.T, cov.entries, rtol=0, atol=8 * n_ports * EPS)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(diagonal=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=64)
+       | st.builds(lambda n, sigma2: [sigma2] * n, st.integers(1, 64), st.floats(1e-8, 1e4)))
+def test_a_diagonal_covariance_factors_to_choleskys_bits(diagonal):
+    cov = CovarianceMatrix(np.diag(diagonal))
+    assert same_bits(cov.factor(), np.linalg.cholesky(cov.entries))
+
+
+def test_an_independent_covariance_factors_without_lapack(monkeypatch):
+    cov = build_covariance(FasLayout(50, 0.5), CorrelationModel.INDEPENDENT, 0.3)
+    expected = np.linalg.cholesky(cov.entries)
+
+    def refuse(*args):
+        raise AssertionError("a diagonal covariance reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert same_bits(cov.factor(), expected)
+    # an off-diagonal entry leaves the diagonal path
+    with pytest.raises(AssertionError, match="LAPACK"):
+        CovarianceMatrix(cov.entries + np.eye(50, k=1) * 1e-3).factor()
 
 
 # ---------------------------------------------------------------- sampling

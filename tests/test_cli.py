@@ -546,6 +546,23 @@ def test_estimate_rejects_a_port_count_over_the_cap_with_exit_2(tmp_path, capsys
     assert "n_ports" in captured.err
 
 
+@pytest.mark.parametrize("method", ["ls", "mle"])
+def test_estimate_rejects_a_bracket_end_whose_square_overflows_with_exit_2(tmp_path, capsys,
+                                                                          method):
+    # the model squares the distance: a bracket end of 1e300 is the bracket's
+    # fault, not the link constants', and must fail before any overflow
+    path = tmp_path / "capture.txt"
+    path.write_text(CAPTURE_12)
+    assert run_cli("estimate", "--input", str(path), "--theta", str(math.pi / 3.0),
+                   "--n-ports", "12", "--aperture", "0.5", "--spacing", "index",
+                   "--amp-const", str(A_DEFAULT), "--method", method,
+                   "--bracket", "1", "1e300") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search bracket end d_max" in captured.err and "1e+300" in captured.err
+    assert "RuntimeWarning" not in captured.err
+
+
 def test_estimate_mle_rejects_a_bracket_inside_the_weight_pole_with_exit_2(tmp_path, capsys):
     # 12 index-spaced ports at W = 2 facing theta = 0: the pole is at 5.5 m
     path = tmp_path / "capture.txt"
@@ -779,7 +796,9 @@ def test_inspect_prints_the_pinned_json(case):
                          [("average-mu", "index", 1), ("jakes", "endpoint", 2)])
 def test_inspect_decomposes_again_only_a_repaired_matrix(monkeypatch, model, spacing,
                                                          decompositions):
-    # an unrepaired matrix prints the eigenvalues of its PSD check
+    # an unrepaired Jakes matrix prints the eigenvalues of its PSD check; an
+    # equicorrelated one is decomposed once, by inspect, since its PSD check
+    # reads the closed-form spectrum
     calls = []
     eigvalsh = np.linalg.eigvalsh
 

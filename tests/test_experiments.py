@@ -296,6 +296,22 @@ def test_a_sweep_derives_its_trial_keys_once_per_chunk(in_process_pool, monkeypa
     assert sum(len(words) for words in calls) == 19 * 100
 
 
+@pytest.mark.parametrize("spec, decompositions", [
+    (fig3_spec(spacing_h=0.01, trials=100), 0), (fig2_spec(trials=100), 0),
+    (replace(fig2_spec(trials=100), correlation_model=CorrelationModel.JAKES_EXACT),
+     len(FIG2_SNR_VALUES))], ids=["fig3_fine", "fig2", "fig2_jakes"])
+def test_only_a_jakes_sweep_decomposes_its_covariances(monkeypatch, spec, decompositions):
+    # the equicorrelated and independent PSD checks read the closed-form
+    # spectrum; a Jakes point decomposes its own matrix once
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda r: calls.append(r.shape) or eigvalsh(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fig3's far-field warning
+        run_experiment(spec)
+    assert calls == [(12, 12)] * decompositions
+
+
 def test_estimator_rows_do_not_depend_on_companions(small_table):
     # paired-draw discipline: adding estimators must not perturb the draws
     # the others consume

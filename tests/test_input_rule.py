@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fasloc.channel import CorrelationModel, FasLayout, _check_real, build_covariance
-from fasloc.estimators import EstimatorConfig
+from fasloc.estimators import D_LIMIT, EstimatorConfig, solve_ls
 from fasloc.experiments import ExperimentSpec, default_scene, nmse_db
 from fasloc.forward_model import RssiProfile, Scene
 
@@ -95,6 +95,7 @@ VALID = {"FasLayout": {"n_ports": 4, "aperture": 0.5, "wavelength": 0.125},
     ("RssiProfile", "path_loss_exp", 0.0), ("RssiProfile", "path_loss_exp", math.nan),
     ("EstimatorConfig", "d_min", 0.0), ("EstimatorConfig", "d_min", -1.0),
     ("EstimatorConfig", "d_max", math.inf), ("EstimatorConfig", "d_max", 0.5),
+    ("EstimatorConfig", "d_max", 1e300),
     ("EstimatorConfig", "tolerance", 0.0), ("EstimatorConfig", "tolerance", math.inf),
     ("build_covariance", "sigma2", 0.0), ("build_covariance", "sigma2", -1.0),
     ("build_covariance", "sigma2", math.inf), ("nmse_db", "d_true", 0.0),
@@ -140,3 +141,13 @@ def test_the_rule_takes_an_int_in_the_float_range_and_no_array():
     EstimatorConfig((np.array(0.1), np.array(1000.0)))
     with pytest.raises(ValueError, match="d_min"):
         EstimatorConfig((np.array(True), 2.0))
+
+
+def test_a_bracket_end_reaches_up_to_where_its_square_overflows():
+    assert math.isfinite(D_LIMIT * D_LIMIT)
+    with pytest.raises(ValueError, match="d_max"):
+        EstimatorConfig((1.0, math.nextafter(D_LIMIT, math.inf)))
+    # a solve over the widest bracket squares its top without overflow warnings
+    profile = RssiProfile(FasLayout(12, 0.5, spacing="index"), 1.0, 3e-4, 2.0)
+    batch = solve_ls(profile.at(10.0)[np.newaxis], profile, EstimatorConfig((1.0, D_LIMIT)))
+    assert np.isfinite(batch.d_hat).all()

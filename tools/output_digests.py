@@ -9,6 +9,9 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
 * the CSV and JSON tables of ``fasloc reproduce fig2 --trials 2000 --json``
   and of ``fasloc reproduce fig3 --json`` (both pitches, 10,000 trials), at
   seed 42, each with ``--workers`` 1 and 2;
+* the same for a ``reproduce --config`` aperture sweep (five layouts, all
+  four estimators, 100 trials) under each correlation model the presets do
+  not use, ``jakes`` and ``independent``;
 * the stdout and exit code of ``fasloc estimate`` on each of the benchmark's
   768 capture files (``perfbench/workloads.py``, imported and only read),
   one digest per method over its captures in pool order;
@@ -55,6 +58,11 @@ import workloads  # noqa: E402
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
              "COLUMNS": "80"}
 SWEEPS = {"fig2": ("--trials", "2000"), "fig3": ()}
+MODEL_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.3, 0.5, 0.75, 1.0],
+               "trials": 100, "estimators": ["fas_mle", "fas_ls", "multipoint_ls",
+                                             "single_antenna"],
+               "snr_db": 10, "spacing_h": 0.05}
+MODEL_SWEEP_MODELS = ("jakes", "independent")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXACT, 50),
                  (CorrelationModel.INDEPENDENT, 1))
@@ -92,19 +100,27 @@ def _sha(data):
 
 
 def sweep_digests(work):
-    """(name, sha256) of every table file of the preset sweeps."""
-    for preset, extra in SWEEPS.items():
+    """(name, sha256) of every table file of the preset and config sweeps."""
+    # (name in the digest line, table file stem, reproduce arguments)
+    runs = [(preset, preset, [preset, *extra, "--seed", "42"])
+            for preset, extra in SWEEPS.items()]
+    for model in MODEL_SWEEP_MODELS:
+        config = work / f"{model}.json"
+        config.write_text(json.dumps({**MODEL_SWEEP, "correlation_model": model}),
+                          encoding="utf-8")
+        runs.append((f"--config {model}", model, ["--config", str(config)]))
+    for name, stem, argv in runs:
         for workers in (1, 2):
-            out = work / f"{preset}_w{workers}" / f"{preset}.csv"
+            out = work / f"{stem}_w{workers}" / f"{stem}.csv"
             out.parent.mkdir()
             with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("ignore", UserWarning)  # fig3's far-field warning
-                rc = cli.main(["reproduce", preset, *extra, "--seed", "42", "--workers",
-                               str(workers), "--out", str(out), "--json"])
+                rc = cli.main(["reproduce", *argv, "--workers", str(workers), "--out",
+                               str(out), "--json"])
             if rc != 0:
-                raise SystemExit(f"reproduce {preset} --workers {workers} exited {rc}")
+                raise SystemExit(f"reproduce {name} --workers {workers} exited {rc}")
             for path in sorted(out.parent.iterdir()):
-                yield f"reproduce {preset} --workers {workers}: {path.name}", \
+                yield f"reproduce {name} --workers {workers}: {path.name}", \
                     _sha(path.read_bytes())
 
 
