@@ -172,13 +172,8 @@ class CovarianceMatrix:
         """Lower-triangular-like factor L with L @ L.T == entries.
 
         Cholesky when positive definite, symmetric eigenfactor otherwise
-        (covers PSD-singular cases such as a fully correlated matrix). A
-        diagonal matrix with a positive diagonal takes the square roots of
-        its diagonal, which are Cholesky's bits.
+        (covers PSD-singular cases such as a fully correlated matrix).
         """
-        diag = np.diag(self.entries)
-        if (diag > 0.0).all() and np.count_nonzero(self.entries) == diag.size:
-            return np.diag(np.sqrt(diag))
         try:
             return np.linalg.cholesky(self.entries)
         except np.linalg.LinAlgError:

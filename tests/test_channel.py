@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fasloc.channel as channel
-from fasloc.channel import (CorrelationModel, CovarianceMatrix, FasLayout, ModelValidityError,
+from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
                             average_mu_squared, build_covariance, lag_correlations)
 from fasloc.forward_model import Scene, simulate_measurements
 from fasloc.specfun import bessel_j0
@@ -273,29 +273,6 @@ def test_a_fully_correlated_matrix_is_not_repaired(n_ports):
     assert np.array_equal(cov.entries, np.ones((n_ports, n_ports)))
     factor = cov.factor()
     np.testing.assert_allclose(factor @ factor.T, cov.entries, rtol=0, atol=8 * n_ports * EPS)
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(diagonal=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=64)
-       | st.builds(lambda n, sigma2: [sigma2] * n, st.integers(1, 64), st.floats(1e-8, 1e4)))
-def test_a_diagonal_covariance_factors_to_choleskys_bits(diagonal):
-    cov = CovarianceMatrix(np.diag(diagonal))
-    assert same_bits(cov.factor(), np.linalg.cholesky(cov.entries))
-
-
-def test_an_independent_covariance_factors_without_lapack(monkeypatch):
-    cov = build_covariance(FasLayout(50, 0.5), CorrelationModel.INDEPENDENT, 0.3)
-    expected = np.linalg.cholesky(cov.entries)
-
-    def refuse(*args):
-        raise AssertionError("a diagonal covariance reached LAPACK")
-
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert same_bits(cov.factor(), expected)
-    # an off-diagonal entry leaves the diagonal path
-    with pytest.raises(AssertionError, match="LAPACK"):
-        CovarianceMatrix(cov.entries + np.eye(50, k=1) * 1e-3).factor()
 
 
 # ---------------------------------------------------------------- sampling

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc.channel import CorrelationModel, FasLayout, _check_real, build_covariance
-from fasloc.estimators import D_LIMIT, EstimatorConfig, solve_ls
+from fasloc.channel import (CorrelationModel, FasLayout, _check_real, average_mu_squared,
+                            build_covariance)
+from fasloc.estimators import D_LIMIT, EstimatorConfig, solve_ls, solve_mle
 from fasloc.experiments import ExperimentSpec, default_scene, nmse_db
 from fasloc.forward_model import RssiProfile, Scene
 
@@ -143,11 +144,18 @@ def test_the_rule_takes_an_int_in_the_float_range_and_no_array():
         EstimatorConfig((np.array(True), 2.0))
 
 
-def test_a_bracket_end_reaches_up_to_where_its_square_overflows():
+@pytest.mark.parametrize("method", ["ls", "mle", "mle_frozen"])
+def test_a_bracket_end_reaches_up_to_where_its_square_overflows(method):
     assert math.isfinite(D_LIMIT * D_LIMIT)
     with pytest.raises(ValueError, match="d_max"):
         EstimatorConfig((1.0, math.nextafter(D_LIMIT, math.inf)))
     # a solve over the widest bracket squares its top without overflow warnings
-    profile = RssiProfile(FasLayout(12, 0.5, spacing="index"), 1.0, 3e-4, 2.0)
-    batch = solve_ls(profile.at(10.0)[np.newaxis], profile, EstimatorConfig((1.0, D_LIMIT)))
-    assert np.isfinite(batch.d_hat).all()
+    layout = FasLayout(12, 0.5, spacing="index")
+    profile = RssiProfile(layout, 1.0, 3e-4, 2.0)
+    X = profile.at(10.0)[np.newaxis]
+    cfg = EstimatorConfig((1.0, D_LIMIT), frozen_weights=method == "mle_frozen")
+    if method == "ls":
+        batch = solve_ls(X, profile, cfg)
+    else:
+        batch = solve_mle(X, profile, average_mu_squared(layout), cfg)
+    assert np.isfinite(batch.d_hat).all() and np.isfinite(batch.objective_value).all()
