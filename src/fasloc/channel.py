@@ -348,7 +348,7 @@ def philox_keys(seed, tails=None):
     return _hash_keys(words)
 
 
-def standard_normal_rows(keys, width):
+def standard_normal_rows(keys, width, gen=None):
     """Standard normals of many Philox streams, one row per key of ``keys``.
 
     Row i is what a fresh generator keyed ``keys[i]`` draws: for the keys of
@@ -356,15 +356,16 @@ def standard_normal_rows(keys, width):
     ``Philox(SeedSequence((len(seed) + 1, *seed, trials[i])))``.
     One generator is re-keyed per row (zero counter, empty buffer) from one
     state dict of Python ints, which its setter reads over twice as fast as
-    numpy arrays.
+    numpy arrays. It is ``gen`` (a Philox ``Generator``, never shared across
+    threads) or a new one: each row starts afresh, so one serves many calls.
     """
     z = np.empty((len(keys), int(width)))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = {**bitgen.state, "state": {"counter": [0] * 4, "key": None}, "buffer": [0] * 4}
+    gen = np.random.Generator(np.random.Philox(key=0)) if gen is None else gen
+    bitgen = gen.bit_generator
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, key in enumerate(zip(*keys.T.tolist())):  # two lists: less memory than pairs
         fresh["state"]["key"] = key
         bitgen.state = fresh
         gen.standard_normal(out=z[i])
     return z
-

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _check_real
+from .forward_model import OnPortError
 
 # Grid used to bracket the stationarity root before Brent refinement.
 _SCAN_POINTS = 33
@@ -396,13 +397,6 @@ def _join(arrays, axis=0):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
-def _by_part(fn, parts, cuts, d):
-    """fn(res, d[i:j], X) for each part (res, X, ...) with rows i:j of d, joined."""
-    if len(parts) == 1:
-        return fn(parts[0][0], d, parts[0][1])
-    return _join([fn(res, d[i:j], X) for (res, X, *_), i, j in zip(parts, cuts, cuts[1:])])
-
-
 def _refine(parts, objective, cfg):
     """One bracket per row of X for each part (res, X, lo, hi), grid point
     lo to hi of the part's ``res``, refined by Brent's method on g where g
@@ -412,21 +406,24 @@ def _refine(parts, objective, cfg):
     ``_brentq`` and one ``_golden``, which evaluate g and the objective part
     by part. A row that has stopped steps on, unread, until the last row of
     the call stops (see ``_brentq``), so each part gets the bits it gets
-    alone. Returns, per part, d, g(d), iterations, converged and bracketed."""
+    alone; a lone part's g is its own, without cut points. Returns, per part,
+    d, g(d), iterations, converged and bracketed."""
     cuts = [0, *itertools.accumulate(len(X) for _, X, _, _ in parts)]
+    spans = list(zip(parts, cuts, cuts[1:]))
     a = _join([res.grid[lo] for res, _, lo, _ in parts])
     b = _join([res.grid[hi] for res, _, _, hi in parts])
     ends = _join([res.g_grid(np.array((lo, hi)), X) for res, X, lo, hi in parts], axis=1)
+    (res, X, _, _), *rest = parts
     d, g, iterations, converged, bracketed = out = _brentq(
-        lambda d: _by_part(_Residual.g, parts, cuts, d), a, b, *ends, cfg.tolerance,
-        MAX_ITERATIONS)
+        (lambda d: _join([r.g(d[i:j], Y) for (r, Y, _, _), i, j in spans])) if rest
+        else (lambda d: res.g(d, X)), a, b, *ends, cfg.tolerance, MAX_ITERATIONS)
     if np.count_nonzero(bracketed) < bracketed.size:
-        for (res, X, _, _), i, j in zip(parts, cuts, cuts[1:]):
+        for (res, X, _, _), i, j in spans:
             k = i + np.flatnonzero(~bracketed[i:j])
             d[k], _, iterations[k] = _golden(lambda d: objective(res, d, X[k - i]), a[k], b[k],
                                              cfg.tolerance, MAX_ITERATIONS)
             g[k], converged[k] = res.g(d[k], X[k - i]), True
-    return [out] if len(parts) == 1 else [[v[i:j] for v in out] for i, j in zip(cuts, cuts[1:])]
+    return [out] if not rest else [[v[i:j] for v in out] for _, i, j in spans]
 
 
 def _check_rows(X, n_ports=None):
@@ -452,6 +449,7 @@ def solve_ls(X, profile, cfg):
     the objective when the derivative keeps its sign there). If a bracket
     endpoint beats that minimum the objective was not unimodal on the
     bracket: the interior point is still returned, flagged converged=False.
+    A grid point on a port moves the scan above the pole, as in ``solve_mle``.
     """
     return _solve_ls([(X, profile)], cfg)[0]
 
@@ -459,18 +457,25 @@ def solve_ls(X, profile, cfg):
 def _solve_ls(parts, cfg):
     """``solve_ls`` on each part (X, profile): one EstimateBatch per part."""
     grid = _scan_grid(*cfg.search_bracket)
-    jobs = []
+    jobs, tables = [], []
     for X, profile in parts:
         X = _check_rows(X, profile.n_ports)
-        res = _Residual(profile, profile.derivative, grid)
+        try:
+            res = _Residual(profile, profile.derivative, grid)
+        except OnPortError:
+            res = _Residual(profile, profile.derivative, _grid_above_pole(profile, cfg))
         fv, slack = res.scan(X, squared=True)
+        tables.append((fv, slack))
         jobs.append((res, X, *_best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))))
     out = []
-    for (res, X, _, _), (d_hat, _, iterations, converged, _) in zip(
-            jobs, _refine(jobs, _Residual.sq, cfg)):
+    for (res, X, _, _), (fv, slack), (d_hat, _, iterations, converged, _) in zip(
+            jobs, tables, _refine(jobs, _Residual.sq, cfg)):
         f_hat = res.sq(d_hat, X)
-        interior_ok = f_hat <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12
-        out.append(EstimateBatch(d_hat=d_hat, converged=converged & interior_ok,
+        bound = np.minimum(fv[:, 0], fv[:, -1]) + 1e-12  # from the table's bracket ends
+        near = np.flatnonzero(np.abs(f_hat - bound) <= 2.0 * slack[:, 0])
+        if near.size:  # where the table's slack could decide it, the exact ends do
+            bound[near] = res.sq_grid([[0], [-1]], X[near]).min(axis=0) + 1e-12
+        out.append(EstimateBatch(d_hat=d_hat, converged=converged & (f_hat <= bound),
                                  iterations=iterations, objective_value=f_hat))
     return out
 
@@ -522,20 +527,25 @@ def _solve_mle(parts, cfg):
     return out
 
 
+def _grid_above_pole(profile, cfg):
+    """The scan grid of the bracket from just above ``RssiProfile.pole``, if that
+    is higher: there no port distance is below its port's offset, and the
+    weights have no pole. A bracket inside the pole raises."""
+    (lo, hi), pole = cfg.search_bracket, profile.pole
+    lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
+    if lo_eff >= hi:
+        raise ValueError(f"bracket {cfg.search_bracket} lies inside the weight-singularity "
+                         f"radius {pole:.3g} m")
+    return _scan_grid(lo_eff, hi)
+
+
 def _mle_candidates(X, profile, a, cfg):
     """The scan and the candidate brackets of ``solve_mle`` on one part."""
     kap = kappa_constant(a, profile.n_ports)
     X = _check_rows(X, profile.n_ports)
     rows = X.shape[0]
     lo, hi = cfg.search_bracket
-
-    pole = profile.pole
-    lo_eff = pole * (1.0 + 1e-9) + 1e-12 if pole >= lo else lo
-    if lo_eff >= hi:
-        raise ValueError(
-            f"bracket {cfg.search_bracket} lies inside the weight-singularity "
-            f"radius {pole:.3g} m"
-        )
+    grid = _grid_above_pole(profile, cfg)
 
     if cfg.frozen_weights:
         derivs = profile.dropped_term_derivative(np.array([0.5 * (lo + hi)]))[0]
@@ -548,7 +558,7 @@ def _mle_candidates(X, profile, a, cfg):
             derivs = profile.dropped_term_derivative(d)
             return derivs - kap * derivs.sum(axis=1, keepdims=True)
 
-    res = _Residual(profile, weights, _scan_grid(lo_eff, hi))
+    res = _Residual(profile, weights, grid)
     gv, slack = res.scan(X)
     # where the table may give g the wrong sign, g itself decides
     exact_row, exact_cell = np.nonzero(np.abs(gv) <= slack)

@@ -189,13 +189,16 @@ class ExperimentSpec:
         for name, kind in (("correlation_model", CorrelationModel), ("scene", Scene)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        checked = set()  # the noiseless RSSI depends on the layout and the scene alone
         for v in vals:  # every point's FasLayout checks its port count and wavelength
             layout = _resolve_point(self, float(v))[0]
-            with np.errstate(all="ignore"):  # an overflow shows as a non-finite RSSI
-                rssi = self.scene.profile(layout).at(self.scene.distance)
-            if not np.isfinite(rssi).all():
-                raise ValueError(f"the scene puts the noiseless RSSI beyond the float range "
-                                 f"at {self.sweep_axis} = {float(v)}")
+            if layout not in checked:
+                checked.add(layout)
+                with np.errstate(all="ignore"):  # an overflow shows as a non-finite RSSI
+                    rssi = self.scene.profile(layout).at(self.scene.distance)
+                if not np.isfinite(rssi).all():
+                    raise ValueError(f"the scene puts the noiseless RSSI beyond the float "
+                                     f"range at {self.sweep_axis} = {float(v)}")
 
     def to_dict(self):
         """Every field as plain JSON values (the scene as a nested dict)."""
@@ -282,22 +285,22 @@ def nmse_db(estimates, d_true):
     """Normalized MSE of distance estimates, in dB, with jackknife stderr.
 
     Accepts an array or a sequence of d_hat values. A zero error sum is
-    floored at NMSE_FLOOR_DB instead of -inf.
+    floored at NMSE_FLOOR_DB instead of -inf. The errors are summed once; a
+    sum over the count has the bits of numpy's ``mean``, which divides it so.
     """
     _check_real("d_true", d_true, positive=True)
     d_hats = np.asarray(estimates, dtype=float)
     if d_hats.size == 0:
         raise ValueError("empty estimate list")
     errs = ((d_hats - d_true) / d_true) ** 2
-    mean_err = float(errs.mean())
+    n, total = errs.size, errs.sum()
     floor_lin = 10.0 ** (NMSE_FLOOR_DB / 10.0)
-    value = 10.0 * math.log10(max(mean_err, floor_lin))
-    n = errs.size
+    value = 10.0 * math.log10(max(float(total / n), floor_lin))
     if n < 2:
         return value, 0.0
-    loo = (errs.sum() - errs) / (n - 1)
+    loo = (total - errs) / (n - 1)
     theta = 10.0 * np.log10(np.maximum(loo, floor_lin))
-    se = math.sqrt((n - 1) / n * float(np.sum((theta - theta.mean()) ** 2)))
+    se = math.sqrt((n - 1) / n * float(np.sum((theta - theta.sum() / n) ** 2)))
     return value, se
 
 
@@ -332,7 +335,8 @@ def _resolve_point(spec, axis_value):
 
 def _group_contexts(spec):
     """One context per solve group, in axis order; at most one far-field
-    warning lists every axis value that simulates a port sweep too close."""
+    warning lists every axis value that simulates a port sweep too close. A
+    group's one profile gives both port-sweep vectors' mean, the same bits."""
     groups = {}
     for axis_index, axis_value in enumerate(spec.axis_values):
         layout, sigma2 = _resolve_point(spec, float(axis_value))
@@ -340,28 +344,29 @@ def _group_contexts(spec):
     ests = list(spec.estimators)
     scene = spec.scene
     read = {METHODS[est][0] for est in ests}
+    lay = FasLayout(1, 0.0, spec.wavelength, "endpoint") if "one" in read else None
+    one = lay and (lay, CorrelationModel.INDEPENDENT, scene.profile(lay).at(scene.distance))
+    cfg = EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
+                          frozen_weights=spec.mle_frozen_weights)
+    independent = spec.correlation_model is CorrelationModel.INDEPENDENT
     near, ctxs = [], []
     for layout, members in groups.items():
-        # layout and correlation model of every vector a trial can simulate, in
-        # the order the draw digest hashes them; only those the estimators read
-        vectors = {"fas": (layout, spec.correlation_model),
-                   "mp": (layout, CorrelationModel.INDEPENDENT),
-                   "one": (FasLayout(1, 0.0, spec.wavelength, "endpoint"),
-                           CorrelationModel.INDEPENDENT)}
+        profile = scene.profile(layout)
+        mean = profile.at(scene.distance)
+        # layout, correlation model and noiseless mean of every vector a trial can
+        # simulate, in the order the draw digest hashes them; those the estimators read
+        vectors = {"fas": (layout, spec.correlation_model, mean),
+                   "mp": (layout, CorrelationModel.INDEPENDENT, mean), "one": one}
         vectors = {name: v for name, v in vectors.items() if name in read}
         if read - {"one"} and in_near_field(layout, scene.distance):
             near += [float(spec.axis_values[i]) for i, _ in members]
-        means = {name: scene.profile(lay).at(scene.distance)
-                 for name, (lay, _) in vectors.items()}
         points = [(axis_index, {name: build_covariance(lay, model, sigma2).factor()
-                                for name, (lay, model) in vectors.items()})
+                                for name, (lay, model, _) in vectors.items()})
                   for axis_index, sigma2 in members]
-        independent = spec.correlation_model is CorrelationModel.INDEPENDENT
         ctxs.append(_GroupContext(
-            base_seed=spec.base_seed, estimators=ests, profile=scene.profile(layout),
-            means=means, a_coeff=0.0 if independent else average_mu_squared(layout),
-            cfg=EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
-                                frozen_weights=spec.mle_frozen_weights),
+            base_seed=spec.base_seed, estimators=ests, profile=profile,
+            means={name: m for name, (_, _, m) in vectors.items()},
+            a_coeff=0.0 if independent else average_mu_squared(layout), cfg=cfg,
             points=points))
     if near:
         warnings.warn(f"transmitter distance {scene.distance:.3g} m is less than "
@@ -370,27 +375,27 @@ def _group_contexts(spec):
     return ctxs
 
 
-def _simulate(ctx, factors, keys):
+def _simulate(ctx, factors, keys, gen):
     """Measurement rows of one point's trials and their digests, joined.
 
     ``keys`` holds the trials' Philox keys, one row each: the key of trial t
     at axis index j is that of ``Philox(SeedSequence((3, base_seed, j, t)))``,
-    and one re-keyed generator draws each trial's row of an (n_trials, N)
-    block of normals (channel.standard_normal_rows). Every vector of a trial
-    is its noiseless profile plus the row times the vector's covariance
-    factor (the one-port reading uses the row's first normal). The product
-    is stacked per row, (T, 1, k) @ (k, k), which gives the same bits as
-    one snapshot of simulate_measurements, a (1, k) @ (k, k) per trial. A
-    trial's digest hashes its vectors in order, one row of their
+    and one re-keyed generator (``gen``, or a new one for None) draws each
+    trial's row of an (n_trials, N) block of normals (standard_normal_rows).
+    Every vector of a trial is its noiseless profile plus the row times its
+    covariance factor (the one-port reading uses the row's first normal).
+    The product is stacked per row, (T, 1, k) @ (k, k), which gives the same
+    bits as one snapshot of simulate_measurements, a (1, k) @ (k, k) per
+    trial. A trial's digest hashes its vectors in order, one row of their
     concatenation; the trials' 16-character digests come back as one
     string, in trial order.
     """
-    z = standard_normal_rows(keys, ctx.profile.n_ports)
+    z = standard_normal_rows(keys, ctx.profile.n_ports, gen)
     rows = {}
     for name, factor in factors.items():
         k = factor.shape[0]
         rows[name] = ctx.means[name] + (z[:, np.newaxis, :k] @ factor.T)[:, 0, :]
-    joined = np.concatenate(list(rows.values()), axis=1)
+    joined = _join(list(rows.values()), axis=1)
     return rows, "".join([hashlib.sha256(row.tobytes()).hexdigest()[:16] for row in joined])
 
 
@@ -411,7 +416,7 @@ def _run_trials(ctxs, t_lo, t_hi):
     """Per axis point of the groups ``ctxs``, in order, {estimator:
     EstimateBatch} and the joined digests of trials [t_lo, t_hi). The keys
     of every (axis index, trial) pair come from one philox_keys pass; each
-    set of groups (see the module docstring) is drawn, then solved."""
+    set of groups (see the module docstring) is drawn by one generator, then solved."""
     axis = [axis_index for ctx in ctxs for axis_index, _ in ctx.points]
     tails = np.stack(np.meshgrid(axis, np.arange(t_lo, t_hi), indexing="ij"), axis=-1)
     keys = iter(np.split(philox_keys(ctxs[0].base_seed, tails.reshape(-1, 2)), len(axis)))
@@ -427,9 +432,9 @@ def _run_trials(ctxs, t_lo, t_hi):
             sets, room = sets + [[]], _BLOCK_READINGS
         sets[-1].append(ctx)
         room -= size
-    out = []
+    out, gen = [], np.random.Generator(np.random.Philox(key=0))
     for groups in sets:
-        sims = [[_simulate(c, factors, next(keys)) for _, factors in c.points] for c in groups]
+        sims = [[_simulate(c, f, next(keys), gen) for _, f in c.points] for c in groups]
         results = [{} for group in sims for _ in group]
         for solver, ests in by_solver.items():
             parts = [(_join([rows[METHODS[est][0]] for rows, _ in group for est in ests]), ctx)
@@ -439,7 +444,7 @@ def _run_trials(ctxs, t_lo, t_hi):
             calls = [parts] if rest else [[(X[i:i + step], ctx)] for i in range(0, len(X), step)]
             blocks = [batch for call in calls for batch in _SOLVERS[solver](call)]
             # one block of n_trials rows per point and estimator, in order
-            columns = [np.concatenate(c) for c in zip(*(vars(b).values() for b in blocks))]
+            columns = [_join(c) for c in zip(*(vars(b).values() for b in blocks))]
             split = (EstimateBatch(*(c[i:i + n_trials] for c in columns))
                      for i in range(0, len(columns[0]), n_trials))
             for point_out in results:
@@ -456,8 +461,8 @@ def _reduce_point(spec, axis_value, ctx, parts):
     point_digest = hashlib.sha256(digests.encode("ascii")).hexdigest()[:16]
     rows = []
     for est in spec.estimators:
-        d_hats = np.concatenate([part[est].d_hat for part, _ in parts])
-        conv = np.concatenate([part[est].converged for part, _ in parts])
+        d_hats = _join([part[est].d_hat for part, _ in parts])
+        conv = _join([part[est].converged for part, _ in parts])
         excluded = int((~conv).sum())
         included = d_hats[conv]
         value, se = (nmse_db(included, spec.scene.distance) if included.size

@@ -74,6 +74,10 @@ class Scene:
                            self.path_loss_exp)
 
 
+class OnPortError(ValueError):
+    """A distance at which the transmitter coincides with a port."""
+
+
 class RssiProfile:
     """Noiseless RSSI over the ports of a layout as a function of distance,
     for one bearing and link: the model every estimator inverts. The
@@ -116,7 +120,7 @@ class RssiProfile:
         dv = d[:, np.newaxis]
         di_sq = self._offs_sq + dv ** 2 - self._two_offs * dv * self._cos
         if np.count_nonzero(di_sq <= 0.0):
-            raise ValueError("degenerate geometry: transmitter coincides with a port")
+            raise OnPortError("degenerate geometry: transmitter coincides with a port")
         return di_sq
 
     def rssi(self, di_sq):

@@ -118,7 +118,7 @@ def _fas_rows(spec, ctx, j):
     """The correlated-port readings of every trial of the group's j-th point."""
     axis_index, factors = ctx.points[j]
     keys = philox_keys((spec.base_seed, axis_index), np.arange(spec.trials))
-    return experiments._simulate(ctx, factors, keys)[0]["fas"]
+    return experiments._simulate(ctx, factors, keys, None)[0]["fas"]
 
 
 def ref_point(spec, axis_index):

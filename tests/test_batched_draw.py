@@ -41,11 +41,15 @@ def ref_simulate(ctx, axis_index, factors, t_lo, t_hi):
     return {name: np.array(r) for name, r in rows.items()}, digests
 
 
+# one generator for every call, as a sweep's worker chunk shares one
+GEN = np.random.Generator(np.random.Philox(key=0))
+
+
 def simulate(ctx, point, t_lo, t_hi):
     """experiments._simulate on trials [t_lo, t_hi) of one axis point."""
     axis_index, factors = point
     keys = philox_keys((ctx.base_seed, axis_index), np.arange(t_lo, t_hi))
-    return experiments._simulate(ctx, factors, keys)
+    return experiments._simulate(ctx, factors, keys, GEN)
 
 
 def point_context(spec, axis_index):

@@ -56,6 +56,31 @@ def test_summary_gives_medians_quartiles_and_wins_per_metric(tmp_path, capsys):
     assert rows["estimate_p50_us"]["change_wins"] == 4
 
 
+def test_a_traced_group_gets_a_row_per_layer_metric(tmp_path, capsys):
+    layer = "experiments.nmse_db.us_per_call"
+    parent, change = [30.0, 32.0, 31.0, 29.0, 33.0], [20.0, 21.0, 35.0, 19.0, 22.0]
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        for side, value in (("parent", p), ("change", c)):
+            record = {"workload": "fig2_serial", "seed": 1, "trace": 1, "seconds": SECONDS,
+                      "correct": True, "attempted": 10, "failed": 0,
+                      "environment": ENVIRONMENT, "checkout": code(side),
+                      "metrics": {layer: {"value": value, "unit": "us"},
+                                  "trace.self_time_coverage": {"value": 0.999, "unit": "ratio"}}}
+            (tmp_path / f"fig2_serial_s1_t1_p{pair}_{side}.json").write_text(json.dumps(record))
+    bench_record.main(["summarize", str(tmp_path)])
+    rows = {row["metric"]: row for row in json.loads(capsys.readouterr().out)["summary"]}
+    # only the layers the records hold, and no end-to-end row
+    assert set(rows) == {layer, "trace.self_time_coverage"}
+    nmse = rows[layer]
+    assert (nmse["workload"], nmse["seed"], nmse["trace"]) == ("fig2_serial", 1, 1)
+    assert nmse["parent"] == {"n": 5, "median": 31.0, "q1": 30.0, "q3": 32.0}
+    assert nmse["change"] == {"n": 5, "median": 21.0, "q1": 20.0, "q3": 22.0}
+    # lower is better: the change wins every pair but the third
+    assert (nmse["better"], nmse["change_wins"], nmse["gap_exceeds_parent_iqr"]) == \
+        ("lower", 4, True)
+    assert rows["trace.self_time_coverage"]["better"] == "higher"
+
+
 @pytest.mark.parametrize("odd, message", [
     ({"seconds": SECONDS / 2}, f"estimate_cli_s3_t0_p2_change.json: a {SECONDS / 2} s run"),
     ({"checkout": code("other")}, "estimate_cli_3_0: the change runs ran different code")],

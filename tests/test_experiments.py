@@ -8,10 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fasloc.experiments as experiments
 from fasloc.channel import CorrelationModel
-from fasloc.experiments import (AXES, FIG2_SNR_VALUES, METHODS, POINT_FIELDS, ExperimentSpec,
+from fasloc.experiments import (AXES, FIG2_SNR_VALUES, METHODS, NMSE_FLOOR_DB, POINT_FIELDS,
+                                ExperimentSpec,
                                 ResultRow, ResultTable, default_scene,
                                 doubling_gain, fig2_spec, fig3_spec,
                                 find_extrema, nmse_db, run_experiment)
@@ -68,6 +71,40 @@ def test_nmse_input_validation():
         nmse_db([], 10.0)
     with pytest.raises(ValueError):
         nmse_db([10.0], 0.0)
+
+
+def nmse_db_by_means(estimates, d_true):
+    """nmse_db as it was written with numpy's ``mean``: the reference bits."""
+    errs = ((np.asarray(estimates, dtype=float) - d_true) / d_true) ** 2
+    floor_lin = 10.0 ** (NMSE_FLOOR_DB / 10.0)
+    value = 10.0 * math.log10(max(float(errs.mean()), floor_lin))
+    n = errs.size
+    if n < 2:
+        return value, 0.0
+    theta = 10.0 * np.log10(np.maximum((errs.sum() - errs) / (n - 1), floor_lin))
+    return value, math.sqrt((n - 1) / n * float(np.sum((theta - theta.mean()) ** 2)))
+
+
+@st.composite
+def estimate_sets(draw):
+    """1 to 10,000 estimates whose squared relative errors span 1e-30 to 1e30
+    in log scale, with a share of exact ones (errors at the NMSE floor)."""
+    n = draw(st.integers(1, 3) | st.integers(4, 10_000))
+    d_true = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = sorted((draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0))))
+    rel = 10.0 ** rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+    d_hats = d_true * (1.0 + rel)
+    d_hats[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = d_true
+    return d_hats, d_true
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=estimate_sets())
+def test_nmse_sums_the_errors_once_with_the_bits_of_the_means(case):
+    d_hats, d_true = case
+    got, want = nmse_db(d_hats, d_true), nmse_db_by_means(d_hats, d_true)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 # ---------------------------------------------------------------- spec checks
@@ -310,6 +347,40 @@ def test_only_a_jakes_sweep_decomposes_its_covariances(monkeypatch, spec, decomp
         warnings.simplefilter("ignore", UserWarning)  # fig3's far-field warning
         run_experiment(spec)
     assert calls == [(12, 12)] * decompositions
+
+
+@pytest.mark.parametrize("make_spec, layouts, run_profiles", [
+    (lambda: fig2_spec(trials=100), 1, 2),
+    (lambda: fig3_spec(spacing_h=0.01, trials=100), 19, 19)], ids=["fig2", "fig3_fine"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_sweep_builds_one_link_model_per_layout_and_one_generator_per_call(
+        monkeypatch, in_process_pool, make_spec, layouts, run_profiles, workers):
+    import fasloc.forward_model as forward_model
+    built, philox, per_call = [], [], []
+    init, real_philox = forward_model.RssiProfile.__init__, np.random.Philox
+    monkeypatch.setattr(forward_model.RssiProfile, "__init__",
+                        lambda self, *args: built.append(args[0]) or init(self, *args))
+    spec = make_spec()
+    # validation checks the noiseless RSSI once per distinct layout
+    assert len(built) == len(set(built)) == layouts
+    built.clear()
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **k: philox.append(1) or real_philox(*a, **k))
+    run_trials = experiments._run_trials
+
+    def counted(*args):
+        before = len(philox)
+        out = run_trials(*args)
+        per_call.append(len(philox) - before)
+        return out
+    monkeypatch.setattr(experiments, "_run_trials", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fig3's far-field warning
+        table = run_experiment(spec, workers=workers)
+    # one profile per layout, plus the one-port layout that single_antenna reads
+    assert len(built) == run_profiles
+    assert per_call == [1] * workers and len(philox) == workers
+    assert len(table.rows) == len(spec.axis_values) * len(spec.estimators)
 
 
 def test_estimator_rows_do_not_depend_on_companions(small_table):

@@ -9,12 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fasloc.channel import FasLayout, average_mu_squared
-from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, _scan_grid, kappa_constant,
-                               solve_ls, solve_mle)
+from fasloc.estimators import (_SCAN_POINTS, EstimatorConfig, _best_cells, _refine, _Residual,
+                               _scan_grid, kappa_constant, solve_ls, solve_mle)
 from fasloc.forward_model import RssiProfile
 
 EPS = np.finfo(float).eps
@@ -157,32 +157,84 @@ def test_noiseless_far_field_readings_give_back_the_distance(scene):
     X = profile.at(d)[np.newaxis]
     a = average_mu_squared(layout)
     for solve in (solve_ls, lambda X, profile, cfg: solve_mle(X, profile, a, cfg)):
-        try:
-            batch = solve(X, profile, cfg)
-        except ValueError as exc:
-            # the open defect of the test below: only a scan point on a port
-            assert "coincides with a port" in str(exc)
-            with pytest.raises(ValueError, match="coincides with a port"):
-                profile.dist_sq(_scan_grid(*cfg.search_bracket))
-            event("solver raised: a least-squares scan point on a port")
-            continue
+        batch = solve(X, profile, cfg)
         assert batch.converged[0]
         assert abs(batch.d_hat[0] - d) <= cfg.tolerance
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="open defect (ROADMAP item 5): the bracket reaches into the port "
-                          "track at a bearing along it, and a least-squares scan point "
-                          "lands on a port")
 def test_a_far_field_capture_along_the_track_gives_back_the_distance():
     # three ports on a 2/3 m track, a transmitter 10 spans away along it: the
-    # least-squares scan starts on the middle port
+    # bracket's scan grid starts on the middle port, so the least-squares scan
+    # starts above the pole instead
     layout = FasLayout(3, 1.0, 1.0, "endpoint")
     profile, d = RssiProfile(layout, 0.0, 1e-4, 2.0), 10.0 * layout.span_m
     cfg = EstimatorConfig(search_bracket=(d / 20.0, 20.0 * d))
     batch = solve_ls(profile.at(d)[np.newaxis], profile, cfg)
     assert batch.converged[0]
     assert abs(batch.d_hat[0] - d) <= cfg.tolerance
+
+
+def converged_by_the_exact_ends(X, profile, cfg):
+    """solve_ls's converged flags with its interior check read from the exact
+    objective at both bracket ends on every row: the reference rule."""
+    res = _Residual(profile, profile.derivative, _scan_grid(*cfg.search_bracket))
+    fv, slack = res.scan(X, squared=True)
+    lo, hi = _best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))
+    ((d_hat, _, _, converged, _),) = _refine([(res, X, lo, hi)], _Residual.sq, cfg)
+    return converged & (res.sq(d_hat, X) <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12)
+
+
+@st.composite
+def end_cases(draw):
+    """A link model, a bracket, and rows of readings: random ones, the model at
+    a distance inside the bracket, and the model at a bracket end moved by
+    1e-14 to 1e-2 dB, whose interior minimum sits within the scan table's
+    slack of that end."""
+    layout = FasLayout(draw(st.integers(1, 16)), draw(st.floats(0.0, 2.0)), 0.125, "index")
+    profile = RssiProfile(layout, draw(st.floats(0.1, 3.0)), draw(st.floats(1e-6, 1e-2)),
+                          draw(st.floats(2.0, 6.0)))
+    lo = draw(st.floats(0.5, 5.0))
+    cfg = EstimatorConfig(search_bracket=(lo, lo * draw(st.floats(10.0, 1e3))),
+                          tolerance=draw(st.just(1e-6) | st.floats(1e-12, 1e-3)))
+    grid = _scan_grid(*cfg.search_bracket)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "inside", "end"]), min_size=1,
+                              max_size=6)):
+        if kind == "random":
+            rows.append(draw(st.lists(READINGS, min_size=layout.n_ports,
+                                      max_size=layout.n_ports)))
+        else:
+            d = (draw(st.floats(grid[0], grid[-1])) if kind == "inside"
+                 else grid[draw(st.sampled_from([0, -1]))])
+            shift = draw(st.floats(-14.0, -2.0)) if kind == "end" else -30.0
+            rows.append(profile.at(d) + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** shift)
+    return np.array(rows, dtype=float), profile, cfg
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=end_cases())
+def test_the_table_decides_the_interior_check_as_the_exact_ends_do(case):
+    X, profile, cfg = case
+    want = converged_by_the_exact_ends(X, profile, cfg)
+    assert solve_ls(X, profile, cfg).converged.tobytes() == want.tobytes()
+    for k in range(X.shape[0]):  # a lone row's table is exact
+        assert solve_ls(X[k:k + 1], profile, cfg).converged[0] == \
+            converged_by_the_exact_ends(X[k:k + 1], profile, cfg)[0]
+
+
+def test_rows_at_a_bracket_end_sit_within_the_table_slack():
+    # readings equal to the model at a bracket end: the objective there is 0,
+    # and the expanded-sum table can only place it within its slack
+    layout = FasLayout(12, 0.5, 0.125, "index")
+    profile = RssiProfile(layout, 1.0, 1e-3, 2.0)
+    cfg = EstimatorConfig(search_bracket=(0.5, 200.0))
+    grid = _scan_grid(*cfg.search_bracket)
+    X = np.stack([profile.at(grid[0]), profile.at(grid[-1]), profile.at(20.0)])
+    res = _Residual(profile, profile.derivative, grid)
+    fv, slack = res.scan(X, squared=True)
+    assert (np.abs(np.minimum(fv[:, 0], fv[:, -1]))[:2] <= slack[:2, 0]).all()
+    assert solve_ls(X, profile, cfg).converged.tolist() == \
+        converged_by_the_exact_ends(X, profile, cfg).tolist()
 
 
 # a bracket end as a Python float over the whole positive range, an int, a

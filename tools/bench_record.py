@@ -17,10 +17,12 @@ code: its git commit (None outside a repository) and a SHA-256 of its
 
 ``summarize`` prints one JSON object: the claimed metrics as given; the
 distinct machine environments of the records; per workload, seed, trace and
-end-to-end metric of ``BENCHMARK.json``, the code each side ran, the median
-and quartiles of each side, the pairs the change wins and whether the gap of
-the medians exceeds the parent's interquartile range; and every record,
-tagged with its pair, side and seed. A record's per-operation and
+metric of ``BENCHMARK.json``, the code each side ran, the median and
+quartiles of each side, the pairs the change wins and whether the gap of the
+medians exceeds the parent's interquartile range; and every record,
+tagged with its pair, side and seed. The metrics are the end-to-end ones
+and the per-layer ones, which only a traced (``--trace 1``) run records, so
+a traced group gets a row per layer. A record's per-operation and
 per-calibration-slot timings are replaced by their count, median and
 quartiles, which keeps the file small. It refuses records of another length
 than ``run_seconds``, and a group whose parent or change records ran
@@ -113,7 +115,7 @@ def summarize(args):
             if any(each != ran[0] for each in ran):
                 sys.exit(f"{'_'.join(map(str, key))}: the {side} runs ran different code")
             code[side] = ran[0] if ran else None
-        for metric in BENCHMARK["end_to_end"]:
+        for metric in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]:
             name = metric["name"]
             value = {(r["pair"], r["side"]): r["record"]["metrics"][name]["value"]
                      for r in group if name in r["record"]["metrics"]}

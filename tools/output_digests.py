@@ -12,6 +12,9 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
 * the same for a ``reproduce --config`` aperture sweep (five layouts, all
   four estimators, 100 trials) under each correlation model the presets do
   not use, ``jakes`` and ``independent``;
+* the same for the benchmark's own sweep configs (``fig2_serial`` and
+  ``fig3_fine``, 100 trials, ``perfbench/workloads.py``'s ``sweep_config`` at
+  base seed 1), which pins the tables at the trial count the benchmark runs;
 * the stdout and exit code of ``fasloc estimate`` on each of the benchmark's
   768 capture files (``perfbench/workloads.py``, imported and only read),
   one digest per method over its captures in pool order;
@@ -109,6 +112,12 @@ def sweep_digests(work):
         config.write_text(json.dumps({**MODEL_SWEEP, "correlation_model": model}),
                           encoding="utf-8")
         runs.append((f"--config {model}", model, ["--config", str(config)]))
+    for name, workload in workloads.WORKLOADS.items():
+        if workload["kind"] == "sweep":
+            config = work / f"{name}.json"
+            config.write_text(json.dumps(workloads.sweep_config(workload["family"], 1)),
+                              encoding="utf-8")
+            runs.append((f"--config {name} (seed 1)", name, ["--config", str(config)]))
     for name, stem, argv in runs:
         for workers in (1, 2):
             out = work / f"{stem}_w{workers}" / f"{stem}.csv"
