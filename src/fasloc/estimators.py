@@ -457,7 +457,7 @@ def solve_ls(X, profile, cfg):
 def _solve_ls(parts, cfg):
     """``solve_ls`` on each part (X, profile): one EstimateBatch per part."""
     grid = _scan_grid(*cfg.search_bracket)
-    jobs, tables = [], []
+    jobs, bounds = [], []
     for X, profile in parts:
         X = _check_rows(X, profile.n_ports)
         try:
@@ -465,14 +465,13 @@ def _solve_ls(parts, cfg):
         except OnPortError:
             res = _Residual(profile, profile.derivative, _grid_above_pole(profile, cfg))
         fv, slack = res.scan(X, squared=True)
-        tables.append((fv, slack))
+        bounds.append((np.minimum(fv[:, 0], fv[:, -1]) + 1e-12, slack[:, 0]))  # table ends
         jobs.append((res, X, *_best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))))
     out = []
-    for (res, X, _, _), (fv, slack), (d_hat, _, iterations, converged, _) in zip(
-            jobs, tables, _refine(jobs, _Residual.sq, cfg)):
+    for (res, X, _, _), (bound, slack), (d_hat, _, iterations, converged, _) in zip(
+            jobs, bounds, _refine(jobs, _Residual.sq, cfg)):
         f_hat = res.sq(d_hat, X)
-        bound = np.minimum(fv[:, 0], fv[:, -1]) + 1e-12  # from the table's bracket ends
-        near = np.flatnonzero(np.abs(f_hat - bound) <= 2.0 * slack[:, 0])
+        near = np.flatnonzero(np.abs(f_hat - bound) <= 2.0 * slack)
         if near.size:  # where the table's slack could decide it, the exact ends do
             bound[near] = res.sq_grid([[0], [-1]], X[near]).min(axis=0) + 1e-12
         out.append(EstimateBatch(d_hat=d_hat, converged=converged & (f_hat <= bound),

@@ -383,6 +383,24 @@ def test_a_sweep_builds_one_link_model_per_layout_and_one_generator_per_call(
     assert len(table.rows) == len(spec.axis_values) * len(spec.estimators)
 
 
+def test_two_threads_sweep_at_once_with_the_bits_of_one():
+    # each run_experiment call draws with a generator of its own; wide draws
+    # and cheap solves, and a tiny switch interval, make the threads
+    # interleave inside the draw loop
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    spec = small_spec(estimators=["single_antenna"], n_ports=400)
+    serial = run_experiment(spec).to_csv_string()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            tables = list(pool.map(lambda _: run_experiment(spec), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert {t.to_csv_string() for t in tables} == {serial}
+
+
 def test_estimator_rows_do_not_depend_on_companions(small_table):
     # paired-draw discipline: adding estimators must not perturb the draws
     # the others consume
