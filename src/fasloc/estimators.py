@@ -406,8 +406,7 @@ def _refine(parts, objective, cfg):
     ``_brentq`` and one ``_golden``, which evaluate g and the objective part
     by part. A row that has stopped steps on, unread, until the last row of
     the call stops (see ``_brentq``), so each part gets the bits it gets
-    alone; a lone part's g is its own, without cut points. Returns, per part,
-    d, g(d), iterations, converged and bracketed."""
+    alone. Returns, per part, d, g(d), iterations, converged and bracketed."""
     cuts = [0, *itertools.accumulate(len(X) for _, X, _, _ in parts)]
     spans = list(zip(parts, cuts, cuts[1:]))
     a = _join([res.grid[lo] for res, _, lo, _ in parts])
@@ -463,6 +462,8 @@ def _solve_ls(parts, cfg):
         try:
             res = _Residual(profile, profile.derivative, grid)
         except OnPortError:
+            if profile.pole >= grid[-1]:  # no scan above the pole: the port stops it
+                raise
             res = _Residual(profile, profile.derivative, _grid_above_pole(profile, cfg))
         fv, slack = res.scan(X, squared=True)
         bounds.append((np.minimum(fv[:, 0], fv[:, -1]) + 1e-12, slack[:, 0]))  # table ends

@@ -237,6 +237,16 @@ def test_rows_at_a_bracket_end_sit_within_the_table_slack():
         converged_by_the_exact_ends(X, profile, cfg).tolist()
 
 
+def test_a_scan_point_on_a_port_of_a_bracket_inside_the_pole_still_raises():
+    # the bracket starts on the middle port and ends below the pole (4/3 m),
+    # so no scan can start above the pole and the port stops it, as before
+    layout = FasLayout(3, 1.0, 1.0, "endpoint")
+    profile = RssiProfile(layout, 0.0, 1e-4, 2.0)
+    cfg = EstimatorConfig(search_bracket=(1.0 / 3.0, 0.5))
+    with pytest.raises(ValueError, match="coincides with a port"):
+        solve_ls(profile.at(6.0)[np.newaxis], profile, cfg)
+
+
 # a bracket end as a Python float over the whole positive range, an int, a
 # float32, or any of these as a 0-d array
 BRACKET_ENDS = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
