@@ -150,7 +150,7 @@ class _Residual:
     def g_grid(self, j, X):
         """g at grid points j for the rows of X; an index array of shape
         (..., rows) or (..., 1) gives a result of that shape."""
-        return (self.w[j] * (X - self.model[j])).sum(axis=-1)
+        return (np.take(self.w, j, axis=0) * (X - np.take(self.model, j, axis=0))).sum(axis=-1)
 
     def sq_grid(self, j, X):
         """sq at grid points j for the rows of X, shaped as in ``g_grid``."""
@@ -411,11 +411,12 @@ def _refine(parts, objective, cfg):
     spans = list(zip(parts, cuts, cuts[1:]))
     a = _join([res.grid[lo] for res, _, lo, _ in parts])
     b = _join([res.grid[hi] for res, _, _, hi in parts])
-    ends = _join([res.g_grid(np.array((lo, hi)), X) for res, X, lo, hi in parts], axis=1)
+    fa = _join([res.g_grid(lo, X) for res, X, lo, _ in parts])  # one end at a time
+    fb = _join([res.g_grid(hi, X) for res, X, _, hi in parts])
     (res, X, _, _), *rest = parts
     d, g, iterations, converged, bracketed = out = _brentq(
         (lambda d: _join([r.g(d[i:j], Y) for (r, Y, _, _), i, j in spans])) if rest
-        else (lambda d: res.g(d, X)), a, b, *ends, cfg.tolerance, MAX_ITERATIONS)
+        else (lambda d: res.g(d, X)), a, b, fa, fb, cfg.tolerance, MAX_ITERATIONS)
     if np.count_nonzero(bracketed) < bracketed.size:
         for (res, X, _, _), i, j in spans:
             k = i + np.flatnonzero(~bracketed[i:j])

@@ -25,6 +25,9 @@ estimators, one part per group (see estimators: every row is solved on its
 own, so sets, blocks and worker chunks change no bit). A larger group is a
 set of its own, solved in blocks of at most _BLOCK_READINGS readings.
 
+A sweep is reduced in one pass: rows with equal included counts share one
+row-batched jackknife (``_nmse_rows``; ``nmse_db`` is its one-row case).
+
 Baselines in a trial:
 
 * ``fas_mle`` / ``fas_ls``   one N-port sweep with correlated fading,
@@ -282,26 +285,33 @@ def _csv_cell(kind, value):
 
 
 def nmse_db(estimates, d_true):
-    """Normalized MSE of distance estimates, in dB, with jackknife stderr.
-
-    Accepts an array or a sequence of d_hat values. A zero error sum is
-    floored at NMSE_FLOOR_DB instead of -inf. The errors are summed once; a
-    sum over the count has the bits of numpy's ``mean``, which divides it so.
-    """
+    """Normalized MSE of distance estimates (an array or a sequence), in dB,
+    with jackknife stderr: the one-row case of ``_nmse_rows``."""
     _check_real("d_true", d_true, positive=True)
     d_hats = np.asarray(estimates, dtype=float)
     if d_hats.size == 0:
         raise ValueError("empty estimate list")
-    errs = ((d_hats - d_true) / d_true) ** 2
-    n, total = errs.size, errs.sum()
-    floor_lin = 10.0 ** (NMSE_FLOOR_DB / 10.0)
-    value = 10.0 * math.log10(max(float(total / n), floor_lin))
-    if n < 2:
-        return value, 0.0
-    loo = (total - errs) / (n - 1)
-    theta = 10.0 * np.log10(np.maximum(loo, floor_lin))
-    se = math.sqrt((n - 1) / n * float(np.sum((theta - theta.sum() / n) ** 2)))
+    (value,), (se,) = _nmse_rows(d_hats.reshape(1, -1), d_true)
     return value, se
+
+
+def _nmse_rows(d_hats, d_true):
+    """``nmse_db`` of each row of a (rows, n) array of estimates, as lists of
+    values and stderrs; a zero error sum is floored at NMSE_FLOOR_DB. A sum
+    over the count has the bits of numpy's ``mean``. numpy sums each row of
+    the contiguous table pairwise, as it sums the row alone, so the rows
+    stacked with it move no bit; the value keeps ``math.log10``, whose last
+    bit ``np.log10`` does not always give."""
+    errs = ((d_hats - d_true) / d_true) ** 2
+    n, total = errs.shape[1], errs.sum(axis=1)
+    floor_lin = 10.0 ** (NMSE_FLOOR_DB / 10.0)
+    values = [10.0 * math.log10(max(mse, floor_lin)) for mse in (total / n).tolist()]
+    if n < 2:
+        return values, [0.0] * len(values)
+    loo = (total[:, np.newaxis] - errs) / (n - 1)
+    theta = 10.0 * np.log10(np.maximum(loo, floor_lin))
+    dev = theta - (theta.sum(axis=1) / n)[:, np.newaxis]
+    return values, np.sqrt((n - 1) / n * np.sum(dev ** 2, axis=1)).tolist()
 
 
 @dataclass
@@ -454,26 +464,31 @@ def _run_trials(ctxs, t_lo, t_hi):
     return out
 
 
-def _reduce_point(spec, axis_value, ctx, parts):
-    """Result rows of one axis point from its trial chunks, in trial order."""
+def _reduce(spec, points, chunks):
+    """Result rows of the axis points (ctx, axis index) from the chunks of
+    ``_run_trials``. A (point, estimator) row joins its converged d_hat over
+    the chunks, in trial order; rows with equal included counts share one
+    ``_nmse_rows`` call, and a row that included no trial has nmse_db nan."""
     trials = int(spec.trials)
-    digests = "".join(part_digests for _, part_digests in parts)
-    point_digest = hashlib.sha256(digests.encode("ascii")).hexdigest()[:16]
-    rows = []
-    for est in spec.estimators:
-        d_hats = _join([part[est].d_hat for part, _ in parts])
-        conv = _join([part[est].converged for part, _ in parts])
-        excluded = int((~conv).sum())
-        included = d_hats[conv]
-        value, se = (nmse_db(included, spec.scene.distance) if included.size
-                     else (float("nan"), 0.0))
-        rows.append(ResultRow(
-            axis_value=float(axis_value), estimator=est, nmse_db=value,
-            stderr_db=se, trials=trials, excluded=excluded,
-            realized_n=ctx.profile.n_ports,
-            flagged=excluded > 0.05 * trials,
-            draw_digest=point_digest,
-        ))
+    rows, by_count = [], {}
+    for (ctx, axis_index), *parts in zip(points, *chunks):
+        digests = "".join(part_digests for _, part_digests in parts)
+        point_digest = hashlib.sha256(digests.encode("ascii")).hexdigest()[:16]
+        for est in spec.estimators:
+            d_hats = _join([part[est].d_hat for part, _ in parts])
+            included = d_hats[_join([part[est].converged for part, _ in parts])]
+            excluded = trials - included.size
+            rows.append(ResultRow(
+                axis_value=float(spec.axis_values[axis_index]), estimator=est,
+                nmse_db=math.nan, stderr_db=0.0, trials=trials, excluded=excluded,
+                realized_n=ctx.profile.n_ports, flagged=excluded > 0.05 * trials,
+                draw_digest=point_digest))
+            by_count.setdefault(included.size, []).append((rows[-1], included))
+    by_count.pop(0, None)
+    for group in by_count.values():
+        values, ses = _nmse_rows(np.stack([d for _, d in group]), spec.scene.distance)
+        for (row, _), value, se in zip(group, values, ses):
+            row.nmse_db, row.stderr_db = value, se
     return rows
 
 
@@ -500,9 +515,7 @@ def run_experiment(spec, workers=1):
     with pool:
         chunks = list(run(_run_trials, [ctxs] * (len(bounds) - 1), bounds[:-1], bounds[1:]))
     points = [(ctx, axis_index) for ctx in ctxs for axis_index, _ in ctx.points]
-    rows = []  # groups are runs of consecutive axis points
-    for (ctx, axis_index), *parts in zip(points, *chunks):
-        rows.extend(_reduce_point(spec, spec.axis_values[axis_index], ctx, parts))
+    rows = _reduce(spec, points, chunks)  # groups are runs of consecutive axis points
 
     meta = {
         "version": __version__,

@@ -427,10 +427,35 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
+@pytest.mark.parametrize("weights", ["ls", "mle", "mle_frozen"])
+def test_a_bracket_end_value_is_g_at_its_grid_point(point, weights):
+    # _brentq takes fa and fb as they are: each end's value, gathered from
+    # the grid tables one end at a time, must have the bits of g there
+    spec, ctx, j = _point(point)
+    X = _fas_rows(spec, ctx, j)
+    profile, cfg = ctx.profile, ctx.cfg
+    if weights == "ls":
+        res = estimators._Residual(profile, profile.derivative,
+                                   estimators._scan_grid(*cfg.search_bracket))
+    else:
+        cfg = EstimatorConfig(search_bracket=cfg.search_bracket,
+                              frozen_weights=weights == "mle_frozen")
+        res = estimators._mle_candidates(X, profile, ctx.a_coeff, cfg)[0]
+    rng = np.random.default_rng(5)
+    for rows in (X[:1], X):
+        for end in (rng.integers(0, _SCAN_POINTS, len(rows)), np.zeros(len(rows), int),
+                    np.full(len(rows), _SCAN_POINTS - 1)):
+            got = res.g_grid(end, rows)
+            assert got.shape == (len(rows),)
+            assert got.tobytes() == res.g(res.grid[end], rows).tobytes(), (len(rows), end)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
 def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # the fig2 point shares its group with the other six SNRs
     spec, ctx, j = _point(point)
-    whole, whole_digests = experiments._run_trials([ctx], 0, spec.trials)[j]
+    sweep = experiments._run_trials([ctx], 0, spec.trials)
+    whole, whole_digests = sweep[j]
     for t in (0, 1, 50, spec.trials - 1):
         one, digests = experiments._run_trials([ctx], t, t + 1)[j]
         assert digests == whole_digests[16 * t:16 * (t + 1)]
@@ -438,13 +463,13 @@ def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
             for field in FIELDS:
                 assert getattr(one[est], field).tobytes() == \
                     getattr(whole[est], field)[t:t + 1].tobytes(), (t, est, field)
-    # run_experiment reduces a point from one chunk of trials per worker
-    axis_value = spec.axis_values[POINTS[point][1]]
+    # run_experiment reduces the whole sweep from one chunk of trials per
+    # worker (the group's points: the fig2 group holds all seven)
+    points = [(ctx, axis_index) for axis_index, _ in ctx.points]
     bounds = (0, 1, 2, 51, 52, spec.trials)
-    parts = [experiments._run_trials([ctx], lo, hi)[j]
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert experiments._reduce_point(spec, axis_value, ctx, parts) == \
-        experiments._reduce_point(spec, axis_value, ctx, [(whole, whole_digests)])
+    chunks = [experiments._run_trials([ctx], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert experiments._reduce(spec, points, chunks) == \
+        experiments._reduce(spec, points, [sweep])
 
 
 def test_ls_scan_holds_no_rows_by_grid_by_ports_temporary():

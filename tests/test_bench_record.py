@@ -54,6 +54,8 @@ def test_summary_gives_medians_quartiles_and_wins_per_metric(tmp_path, capsys):
     assert (tps["parent_checkout"], tps["change_checkout"]) == (code("parent"), code("change"))
     # lower is better for a latency: the same pairs win
     assert rows["estimate_p50_us"]["change_wins"] == 4
+    # both end-to-end timings are scaled by calibration slots
+    assert tps["calibrated"] and rows["estimate_p50_us"]["calibrated"]
 
 
 def test_a_traced_group_gets_a_row_per_layer_metric(tmp_path, capsys):
@@ -79,6 +81,23 @@ def test_a_traced_group_gets_a_row_per_layer_metric(tmp_path, capsys):
     assert (nmse["better"], nmse["change_wins"], nmse["gap_exceeds_parent_iqr"]) == \
         ("lower", 4, True)
     assert rows["trace.self_time_coverage"]["better"] == "higher"
+    # traced wall time, which no calibration slot scales
+    assert not nmse["calibrated"] and not rows["trace.self_time_coverage"]["calibrated"]
+
+
+def test_calibrated_marks_the_end_to_end_metrics_and_no_per_layer_one(tmp_path, capsys):
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+               for m in bench_record.BENCHMARK["end_to_end"] + bench_record.BENCHMARK["per_layer"]}
+    for side in ("parent", "change"):
+        record = {"workload": "fig2_serial", "seed": 1, "trace": 1, "seconds": SECONDS,
+                  "correct": True, "attempted": 10, "failed": 0, "environment": ENVIRONMENT,
+                  "checkout": code(side), "metrics": metrics}
+        (tmp_path / f"fig2_serial_s1_t1_p1_{side}.json").write_text(json.dumps(record))
+    bench_record.main(["summarize", str(tmp_path)])
+    rows = json.loads(capsys.readouterr().out)["summary"]
+    assert len(rows) == len(metrics)
+    assert {row["metric"] for row in rows if row["calibrated"]} == \
+        {m["name"] for m in bench_record.BENCHMARK["end_to_end"]}
 
 
 @pytest.mark.parametrize("odd, message", [

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import fasloc.experiments as experiments
 from fasloc.channel import CorrelationModel
+from fasloc.estimators import EstimateBatch
 from fasloc.experiments import (AXES, FIG2_SNR_VALUES, METHODS, NMSE_FLOOR_DB, POINT_FIELDS,
                                 ExperimentSpec,
                                 ResultRow, ResultTable, default_scene,
@@ -105,6 +107,87 @@ def test_nmse_sums_the_errors_once_with_the_bits_of_the_means(case):
     d_hats, d_true = case
     got, want = nmse_db(d_hats, d_true), nmse_db_by_means(d_hats, d_true)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@st.composite
+def chunked_sweeps(draw):
+    """A sweep of 1 to 3 points and 1 to 4 estimators over 100 to 10,000
+    trials, split into 1 to 4 chunks, whose rows include counts drawn from a
+    small pool (so several rows share a count and others do not), from 0 and
+    1 to every trial. The included estimates are as in ``estimate_sets``; the
+    excluded ones are nan."""
+    trials = draw(st.integers(100, 10_000))
+    spec = small_spec(trials=trials, axis_values=FIG2_SNR_VALUES[:draw(st.integers(1, 3))],
+                      estimators=draw(st.permutations(list(METHODS)))[:draw(st.integers(1, 4))])
+    d_true = spec.scene.distance
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = draw(st.lists(st.sampled_from([0, 1, 2, trials]) | st.integers(0, trials),
+                         min_size=1, max_size=3))
+    exact = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    batches = []
+    for _ in range(len(spec.axis_values) * len(spec.estimators)):
+        converged = np.zeros(trials, dtype=bool)
+        converged[rng.permutation(trials)[:pool[rng.integers(len(pool))]]] = True
+        lo, hi = sorted(rng.uniform(-15.0, 15.0, 2))
+        d_hats = d_true * (1.0 + 10.0 ** rng.uniform(lo, hi, trials)
+                           * rng.choice([-1.0, 1.0], trials))
+        d_hats[rng.random(trials) < exact] = d_true
+        d_hats[~converged] = np.nan
+        batches.append(EstimateBatch(d_hats, converged, np.zeros(trials, dtype=np.int64),
+                                     np.zeros(trials)))
+    cuts = sorted(draw(st.sets(st.integers(1, trials - 1), max_size=3)))
+    return spec, batches, [0, *cuts, trials]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=chunked_sweeps())
+def test_the_sweep_reduction_gives_each_row_the_bits_of_its_nmse_db(case):
+    spec, batches, bounds = case
+    ests = list(spec.estimators)
+    points = [(SimpleNamespace(profile=SimpleNamespace(n_ports=12)), i)
+              for i in range(len(spec.axis_values))]
+    chunks = [[({est: EstimateBatch(*(f[lo:hi] for f in vars(batches[k * len(ests) + e])
+                                                .values()))
+                 for e, est in enumerate(ests)}, "0123456789abcdef" * (hi - lo))
+               for k in range(len(points))] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows = experiments._reduce(spec, points, chunks)
+    assert [(r.axis_value, r.estimator) for r in rows] == \
+        [(float(v), est) for v in spec.axis_values for est in ests]
+    for row, batch in zip(rows, batches):
+        included = batch.d_hat[batch.converged]
+        assert row.excluded == spec.trials - included.size
+        want = nmse_db(included, spec.scene.distance) if included.size else (math.nan, 0.0)
+        assert [row.nmse_db.hex(), row.stderr_db.hex()] == [x.hex() for x in want]
+
+
+def test_a_row_value_takes_math_log10():
+    # here 10 * np.log10 of the error is one bit off 10 * math.log10 of it
+    err = ((9.4024184599484 - 10.0) / 10.0) ** 2
+    assert 10.0 * np.log10(err) != 10.0 * math.log10(err)
+    values, _ = experiments._nmse_rows(np.array([[9.4024184599484], [10.5]]), 10.0)
+    assert values[0].hex() == (10.0 * math.log10(err)).hex()
+    assert nmse_db([9.4024184599484], 10.0)[0].hex() == values[0].hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_the_batched_jackknife_is_a_brute_force_leave_one_out(n):
+    rng = np.random.default_rng(n)
+    d_true = 10.0
+    d_hats = d_true * (1.0 + rng.normal(0.0, 0.1, (6, n)))
+    d_hats[1] = d_true  # every estimate exact: the floor
+    d_hats[2, 1:] = d_true  # one error: its leave-one-out mean is at the floor
+    floor_lin = 10.0 ** (NMSE_FLOOR_DB / 10.0)
+    values, ses = experiments._nmse_rows(d_hats, d_true)
+    for row, value, se in zip(d_hats, values, ses):
+        errs = [((d - d_true) / d_true) ** 2 for d in row]
+        theta = [10.0 * math.log10(max(sum(errs[:i] + errs[i + 1:]) / (n - 1), floor_lin))
+                 for i in range(n)]
+        mean = sum(theta) / n
+        assert value == pytest.approx(10.0 * math.log10(max(sum(errs) / n, floor_lin)),
+                                      rel=1e-12, abs=1e-12)
+        assert se == pytest.approx(math.sqrt((n - 1) / n * sum((t - mean) ** 2 for t in theta)),
+                                   rel=1e-9, abs=1e-12)
+    assert values[1] == NMSE_FLOOR_DB and ses[1] == 0.0
 
 
 # ---------------------------------------------------------------- spec checks

@@ -22,7 +22,12 @@ quartiles of each side, the pairs the change wins and whether the gap of the
 medians exceeds the parent's interquartile range; and every record,
 tagged with its pair, side and seed. The metrics are the end-to-end ones
 and the per-layer ones, which only a traced (``--trace 1``) run records, so
-a traced group gets a row per layer. A record's per-operation and
+a traced group gets a row per layer. A row's ``calibrated`` says whether
+perfbench scales the metric to reference host speed by its calibration
+slots: true for the end-to-end metrics (peak RSS, not a time, needs no
+scaling), false for the per-layer ones: traced wall time, which the host's
+speed phases move between runs, so a per-layer gap under about 10% is not
+resolved. A record's per-operation and
 per-calibration-slot timings are replaced by their count, median and
 quartiles, which keeps the file small. It refuses records of another length
 than ``run_seconds``, and a group whose parent or change records ran
@@ -106,6 +111,7 @@ def summarize(args):
                      "record": record})
     runs.sort(key=lambda r: (r["workload"], r["seed"], r["trace"], r["pair"], r["side"]))
 
+    calibrated = {metric["name"] for metric in BENCHMARK["end_to_end"]}
     summary = []
     for key in sorted({(r["workload"], r["seed"], r["trace"]) for r in runs}):
         group = [r for r in runs if (r["workload"], r["seed"], r["trace"]) == key]
@@ -129,7 +135,8 @@ def summarize(args):
             summary.append({
                 "workload": key[0], "seed": key[1], "trace": key[2], "metric": name,
                 "parent_checkout": code["parent"], "change_checkout": code["change"],
-                "unit": metric["unit"], "better": metric["better"], "pairs": len(pairs),
+                "unit": metric["unit"], "better": metric["better"],
+                "calibrated": name in calibrated, "pairs": len(pairs),
                 "parent": parent, "change": change,
                 "change_wins": sum(sign * (value[p, "change"] - value[p, "parent"]) > 0
                                    for p in pairs),

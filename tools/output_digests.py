@@ -12,6 +12,9 @@ lines, so comparing two revisions is one ``diff`` of two runs. It covers:
 * the same for a ``reproduce --config`` aperture sweep (five layouts, all
   four estimators, 100 trials) under each correlation model the presets do
   not use, ``jakes`` and ``independent``;
+* the same for a ``reproduce --config`` sweep whose rows reduce unequal
+  numbers of trials (``fas_mle`` and ``fas_ls`` at W = 0.85 to 1.0, pitch
+  0.01, 100 trials): ``fas_mle`` excludes 0, 53, 95 and 87 trials there;
 * the same for the benchmark's own sweep configs (``fig2_serial`` and
   ``fig3_fine``, 100 trials, ``perfbench/workloads.py``'s ``sweep_config`` at
   base seed 1), which pins the tables at the trial count the benchmark runs;
@@ -66,6 +69,9 @@ MODEL_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.3, 0.5, 0.75, 
                                              "single_antenna"],
                "snr_db": 10, "spacing_h": 0.05}
 MODEL_SWEEP_MODELS = ("jakes", "independent")
+UNEQUAL_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.85, 0.9, 0.95, 1.0],
+                 "trials": 100, "estimators": ["fas_mle", "fas_ls"], "snr_db": 10,
+                 "spacing_h": 0.01}
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXACT, 50),
                  (CorrelationModel.INDEPENDENT, 1))
@@ -107,11 +113,12 @@ def sweep_digests(work):
     # (name in the digest line, table file stem, reproduce arguments)
     runs = [(preset, preset, [preset, *extra, "--seed", "42"])
             for preset, extra in SWEEPS.items()]
-    for model in MODEL_SWEEP_MODELS:
-        config = work / f"{model}.json"
-        config.write_text(json.dumps({**MODEL_SWEEP, "correlation_model": model}),
-                          encoding="utf-8")
-        runs.append((f"--config {model}", model, ["--config", str(config)]))
+    configs = {model: {**MODEL_SWEEP, "correlation_model": model}
+               for model in MODEL_SWEEP_MODELS}
+    for stem, cfg in {**configs, "unequal": UNEQUAL_SWEEP}.items():
+        config = work / f"{stem}.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        runs.append((f"--config {stem}", stem, ["--config", str(config)]))
     for name, workload in workloads.WORKLOADS.items():
         if workload["kind"] == "sweep":
             config = work / f"{name}.json"
