@@ -1,11 +1,22 @@
-"""Argument lists of the ``fasloc`` command line, by how argparse ends them.
+"""Argument lists of the ``fasloc`` command line, by how argparse ends them,
+and the small sweep configs that the command-line tests and
+``tools/output_digests.py`` share.
 
 ``tests/test_cli.py`` parses each list with ``cli._parse_args`` and with the
 top-level parser alone and compares the two; ``tools/output_digests.py``
 runs each list as a ``python -m fasloc`` process. File names are relative:
 ``capture12.csv`` (12 ports), ``capture1.csv`` (one port) and ``sweep.json``
-need to exist only where a list is run, not where it is parsed.
+(``SNR_SWEEP``) need to exist only where a list is run, not where it is
+parsed.
 """
+
+# valid 100-trial config files, one per sweep axis, that bad-input tables vary
+SNR_SWEEP = {"sweep_axis": "snr_db", "axis_values": [0, 10], "trials": 100,
+             "estimators": ["fas_ls"], "layout": {"n_ports": 4, "aperture": 0.5}}
+APERTURE_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.2], "trials": 100,
+                  "estimators": ["fas_ls"], "snr_db": 10, "spacing_h": 0.05}
+PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100,
+              "estimators": ["fas_ls"], "snr_db": 10, "layout": {"aperture": 0.5}}
 
 ESTIMATE = ["estimate", "--input", "capture12.csv", "--n-ports", "12", "--aperture", "0.5",
             "--spacing", "index", "--amp-const", "3.14557575653044e-4"]

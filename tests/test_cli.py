@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import cli_argv_table as argv_table
+from cli_argv_table import APERTURE_SWEEP, SNR_SWEEP
 from fasloc import cli, experiments
 from fasloc.channel import (CorrelationModel, FasLayout, ModelValidityError,
                             average_mu_squared, build_covariance)
@@ -182,12 +183,6 @@ def test_reproduce_config_rejects_unknown_nested_keys(tmp_path, capsys, level):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("reproduce", "--config", str(cfg_path)) == 2
     assert f"config.{level}" in capsys.readouterr().err
-
-
-SNR_SWEEP = {"sweep_axis": "snr_db", "axis_values": [0, 10], "trials": 100,
-             "estimators": ["fas_ls"], "layout": {"n_ports": 4, "aperture": 0.5}}
-APERTURE_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.2], "trials": 100,
-                  "estimators": ["fas_ls"], "snr_db": 10, "spacing_h": 0.05}
 
 
 @pytest.mark.parametrize("cfg", [

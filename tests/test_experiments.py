@@ -533,8 +533,8 @@ def _count_solves(monkeypatch):
     calls = []
     for name, solve in list(experiments._SOLVERS.items()):
         monkeypatch.setitem(experiments._SOLVERS, name,
-                            lambda parts, name=name, solve=solve:
-                            calls.append((name, [X.shape for X, _ in parts])) or solve(parts))
+                            lambda parts, cfg, name=name, solve=solve:
+                            calls.append((name, [X.shape for X, _ in parts])) or solve(parts, cfg))
     return calls
 
 

@@ -57,6 +57,7 @@ sys.dont_write_bytecode = True  # nothing is written under perfbench/ or tests/
 from fasloc import (CorrelationModel, FasLayout, Scene, build_covariance, cli,  # noqa: E402
                     simulate_measurements)
 import cli_argv_table  # noqa: E402
+from cli_argv_table import APERTURE_SWEEP, PORT_SWEEP, SNR_SWEEP  # noqa: E402
 import workloads  # noqa: E402
 
 # the environment of every process the digests run: this checkout's package,
@@ -77,12 +78,6 @@ SIMULATE_GRID = ((CorrelationModel.AVERAGE_MU, 12), (CorrelationModel.JAKES_EXAC
                  (CorrelationModel.INDEPENDENT, 1))
 SIMULATE_SEEDS = (7, (1, 2), (), 2 ** 64 + 5)
 SIMULATE_SNAPSHOTS = (1, 3, 1000)
-SNR_SWEEP = {"sweep_axis": "snr_db", "axis_values": [0, 10], "trials": 100,
-             "estimators": ["fas_ls"], "layout": {"n_ports": 4, "aperture": 0.5}}
-APERTURE_SWEEP = {"sweep_axis": "aperture_w", "axis_values": [0.1, 0.2], "trials": 100,
-                  "estimators": ["fas_ls"], "snr_db": 10, "spacing_h": 0.05}
-PORT_SWEEP = {"sweep_axis": "port_count_n", "axis_values": [4, 8], "trials": 100,
-              "estimators": ["fas_ls"], "snr_db": 10, "layout": {"aperture": 0.5}}
 # config files that ``reproduce --config`` must refuse, as file text
 BAD_CONFIGS = (
     json.dumps({**SNR_SWEEP, "sweep_axis": "distance"}),
