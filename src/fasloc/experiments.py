@@ -52,7 +52,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -315,23 +315,14 @@ def _nmse_rows(d_hats, d_true):
     return values, np.sqrt((n - 1) / n * np.sum(dev ** 2, axis=1)).tolist()
 
 
-class _SweepValues(NamedTuple):
-    """What every solve group of a sweep shares; picklable for workers:
-    the base seed, the estimators of each solver (in spec order), and the
-    solvers' config."""
-
-    base_seed: int
-    by_solver: dict
-    cfg: EstimatorConfig
-
-
 @dataclass
 class _GroupContext:
     """A solve group's per-layout data; picklable for workers. Its axis
     points have equal layouts, so one ``profile`` (the link model of the
     group's part in each solver call of its set) and one ``means`` (the
     noiseless profile of each vector the estimators read, see ``METHODS``)
-    serve all of them. ``points``: axis index and vector covariance factors."""
+    serve all of them. ``points``: axis index and vector covariance factors.
+    What the whole sweep shares stays in the spec and the solvers' config."""
 
     profile: RssiProfile
     means: dict
@@ -352,7 +343,7 @@ def _resolve_point(spec, axis_value):
 
 
 def _group_contexts(spec):
-    """The sweep's ``_SweepValues`` and one context per solve group, in axis
+    """The solvers' one config and one context per solve group, in axis
     order; at most one far-field warning lists every axis value that
     simulates a port sweep too close. A group's one profile gives both
     port-sweep vectors' mean, the same bits."""
@@ -360,16 +351,12 @@ def _group_contexts(spec):
     for axis_index, axis_value in enumerate(spec.axis_values):
         layout, sigma2 = _resolve_point(spec, float(axis_value))
         groups.setdefault(layout, []).append((axis_index, sigma2))
-    by_solver = {}
-    for est in spec.estimators:
-        by_solver.setdefault(METHODS[est][1], []).append(est)
     scene = spec.scene
-    sweep = _SweepValues(spec.base_seed, by_solver, EstimatorConfig(
-        search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
-        frozen_weights=spec.mle_frozen_weights))
     read = {METHODS[est][0] for est in spec.estimators}
     lay = FasLayout(1, 0.0, spec.wavelength, "endpoint") if "one" in read else None
     one = lay and (lay, CorrelationModel.INDEPENDENT, scene.profile(lay).at(scene.distance))
+    cfg = EstimatorConfig(search_bracket=(scene.distance / 20.0, scene.distance * 20.0),
+                          frozen_weights=spec.mle_frozen_weights)
     independent = spec.correlation_model is CorrelationModel.INDEPENDENT
     near, ctxs = [], []
     for layout, members in groups.items():
@@ -392,7 +379,7 @@ def _group_contexts(spec):
         warnings.warn(f"transmitter distance {scene.distance:.3g} m is less than "
                       f"{FAR_FIELD_RATIO:.0f}x the port span at {spec.sweep_axis} = {near}; "
                       "the equal-mean-power approximation degrades", stacklevel=3)
-    return sweep, ctxs
+    return cfg, ctxs
 
 
 def _simulate(ctx, factors, keys, gen):
@@ -432,20 +419,23 @@ _SOLVERS = {
 _BLOCK_READINGS = 2 ** 16
 
 
-def _run_trials(sweep, ctxs, t_lo, t_hi):
-    """Per axis point of the groups ``ctxs`` of a sweep with ``_SweepValues``
-    ``sweep``, in order, {estimator: EstimateBatch} and the joined digests
-    of trials [t_lo, t_hi). The keys of every (axis index, trial) pair come
-    from one philox_keys pass; each set of groups (see the module docstring)
-    is drawn by one generator, then solved."""
+def _run_trials(spec, cfg, ctxs, t_lo, t_hi):
+    """Per axis point of the groups ``ctxs`` of the sweep ``spec``, in order,
+    {estimator: EstimateBatch} and the joined digests of trials [t_lo,
+    t_hi), solved under ``cfg``. The keys of every (axis index, trial) pair
+    come from one philox_keys pass; each set of groups (see the module
+    docstring) is drawn by one generator, then solved."""
     axis = [axis_index for ctx in ctxs for axis_index, _ in ctx.points]
     tails = np.stack(np.meshgrid(axis, np.arange(t_lo, t_hi), indexing="ij"), axis=-1)
-    keys = iter(np.split(philox_keys(sweep.base_seed, tails.reshape(-1, 2)), len(axis)))
+    keys = iter(np.split(philox_keys(spec.base_seed, tails.reshape(-1, 2)), len(axis)))
     n_trials = t_hi - t_lo
+    by_solver = {}
+    for est in spec.estimators:
+        by_solver.setdefault(METHODS[est][1], []).append(est)
     sets, room = [], 0
     for ctx in ctxs:  # the readings of every estimator's vector of every trial
         size = n_trials * len(ctx.points) * sum(
-            ctx.means[METHODS[est][0]].size for ests in sweep.by_solver.values() for est in ests)
+            ctx.means[METHODS[est][0]].size for est in spec.estimators)
         if size > room:
             sets, room = sets + [[]], _BLOCK_READINGS
         sets[-1].append(ctx)
@@ -454,13 +444,13 @@ def _run_trials(sweep, ctxs, t_lo, t_hi):
     for groups in sets:
         sims = [[_simulate(c, f, next(keys), gen) for _, f in c.points] for c in groups]
         results = [{} for group in sims for _ in group]
-        for solver, ests in sweep.by_solver.items():
+        for solver, ests in by_solver.items():
             parts = [(_join([rows[METHODS[est][0]] for rows, _ in group for est in ests]), ctx)
                      for ctx, group in zip(groups, sims)]
             (X, ctx), *rest = parts
             step = max(1, _BLOCK_READINGS // X.shape[1])
             calls = [parts] if rest else [[(X[i:i + step], ctx)] for i in range(0, len(X), step)]
-            blocks = [batch for call in calls for batch in _SOLVERS[solver](call, sweep.cfg)]
+            blocks = [batch for call in calls for batch in _SOLVERS[solver](call, cfg)]
             # one block of n_trials rows per point and estimator, in order
             columns = [_join(c) for c in zip(*(vars(b).values() for b in blocks))]
             split = (EstimateBatch(*(c[i:i + n_trials] for c in columns))
@@ -513,7 +503,7 @@ def run_experiment(spec, workers=1):
     if not _is_integer(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1).astype(int).tolist()
-    sweep, ctxs = _group_contexts(spec)
+    cfg, ctxs = _group_contexts(spec)
     pool, run = nullcontext(), map
     if workers > 1:  # imported only here: the pool's modules are slow to load
         from concurrent.futures import ProcessPoolExecutor
@@ -521,7 +511,8 @@ def run_experiment(spec, workers=1):
         pool = ProcessPoolExecutor(max_workers=min(len(bounds) - 1, os.cpu_count() or 1))
         run = pool.map
     with pool:
-        chunks = list(run(_run_trials, repeat(sweep), repeat(ctxs), bounds[:-1], bounds[1:]))
+        chunks = list(run(_run_trials, repeat(spec), repeat(cfg), repeat(ctxs), bounds[:-1],
+                          bounds[1:]))
     points = [(ctx, axis_index) for ctx in ctxs for axis_index, _ in ctx.points]
     rows = _reduce(spec, points, chunks)  # groups are runs of consecutive axis points
 

@@ -105,12 +105,12 @@ def ref_mle(x, layout, theta, a, cfg, amp, n_exp):
 
 
 def _group(spec, axis_index):
-    """The sweep's values, the solve-group context holding one axis point,
-    and the point's place in the group."""
+    """The sweep's solver config, the solve-group context holding one axis
+    point, and the point's place in the group."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the far-field warning
-        sweep, ctxs = experiments._group_contexts(spec)
-    return next((sweep, ctx, j) for ctx in ctxs for j, (i, _) in enumerate(ctx.points)
+        cfg, ctxs = experiments._group_contexts(spec)
+    return next((cfg, ctx, j) for ctx in ctxs for j, (i, _) in enumerate(ctx.points)
                 if i == axis_index)
 
 
@@ -126,7 +126,7 @@ def ref_point(spec, axis_index):
     digests of one axis point, one trial at a time."""
     axis_value = float(list(spec.axis_values)[axis_index])
     layout, sigma2 = experiments._resolve_point(spec, axis_value)
-    sweep, ctx, _ = _group(spec, axis_index)
+    cfg, ctx, _ = _group(spec, axis_index)
     scene = spec.scene
     amp = scene.amp_const(layout.wavelength)
     cov_fas = build_covariance(layout, spec.correlation_model, sigma2)
@@ -151,10 +151,10 @@ def ref_point(spec, axis_index):
         for est in ests:
             if est == "fas_mle":
                 out[est].append(ref_mle(vec["fas"], layout, scene.bearing, ctx.a_coeff,
-                                        sweep.cfg, amp, scene.path_loss_exp))
+                                        cfg, amp, scene.path_loss_exp))
             elif est in ("fas_ls", "multipoint_ls"):
                 x = vec["fas" if est == "fas_ls" else "mp"]
-                out[est].append(ref_ls(x, layout, scene.bearing, sweep.cfg, amp,
+                out[est].append(ref_ls(x, layout, scene.bearing, cfg, amp,
                                        scene.path_loss_exp))
             else:
                 readings = np.repeat(vec["one"], layout.n_ports)
@@ -263,9 +263,9 @@ def test_a_lone_bracket_keeps_the_bits_of_its_row_on_signed_zeros_and_nans():
 
 def _compare(spec):
     worst = {}
-    sweep, ctxs = experiments._group_contexts(spec)
+    cfg, ctxs = experiments._group_contexts(spec)
     for ctx in ctxs:
-        results = experiments._run_trials(sweep, [ctx], 0, spec.trials)
+        results = experiments._run_trials(spec, cfg, [ctx], 0, spec.trials)
         for (axis_index, _), (got, digests) in zip(ctx.points, results):
             ref, ref_digests = ref_point(spec, axis_index)
             assert digests == "".join(ref_digests)
@@ -302,11 +302,11 @@ def test_fig3_batched_core_matches_scalar_reference():
 def test_batch_results_do_not_depend_on_the_split():
     # the whole fig2 sweep is one solve group of 7 points
     spec = fig2_spec(base_seed=9, trials=100)
-    sweep, ctx, _ = _group(spec, 0)
+    cfg, ctx, _ = _group(spec, 0)
     assert [i for i, _ in ctx.points] == list(range(7))
-    whole = experiments._run_trials(sweep, [ctx], 0, 100)
-    head = experiments._run_trials(sweep, [ctx], 0, 37)
-    tail = experiments._run_trials(sweep, [ctx], 37, 100)
+    whole = experiments._run_trials(spec, cfg, [ctx], 0, 100)
+    head = experiments._run_trials(spec, cfg, [ctx], 0, 37)
+    tail = experiments._run_trials(spec, cfg, [ctx], 37, 100)
     for (w, _), (h, _), (t, _) in zip(whole, head, tail):
         for est in spec.estimators:
             for field in ("d_hat", "converged", "iterations", "objective_value"):
@@ -329,17 +329,18 @@ FIELDS = ("d_hat", "converged", "iterations", "objective_value")
 
 
 def _point(name):
-    """The point's spec, the sweep's values, its solve-group context and
-    its place in the group."""
+    """The point's spec, the sweep's solver config, its solve-group context
+    and its place in the group."""
     spec, axis_index, n_ports = POINTS[name]
-    sweep, ctx, j = _group(spec, axis_index)
+    cfg, ctx, j = _group(spec, axis_index)
     assert ctx.profile.n_ports == n_ports
-    return spec, sweep, ctx, j
+    return spec, cfg, ctx, j
 
 
-def _solver_context(sweep, ctx):
-    """What a SOLVERS entry reads of a solve group and its sweep."""
-    return SimpleNamespace(profile=ctx.profile, a_coeff=ctx.a_coeff, cfg=sweep.cfg)
+def _solver_context(cfg, ctx):
+    """What a SOLVERS entry reads: a solve group's link model and ``a``, and
+    the sweep's solver config."""
+    return SimpleNamespace(profile=ctx.profile, a_coeff=ctx.a_coeff, cfg=cfg)
 
 
 def _mixed_batch():
@@ -369,8 +370,8 @@ def _parts(bracket):
     parts = [(spec, _group(spec, axis_index)) for axis_index in (0, 9, 18)]
     spec, axis_index, _ = POINTS["fig2_n12"]
     parts.append((spec, _group(spec, axis_index)))
-    parts = [(_fas_rows(spec, ctx, j), _solver_context(sweep, ctx))
-             for spec, (sweep, ctx, j) in parts]
+    parts = [(_fas_rows(spec, ctx, j), _solver_context(cfg, ctx))
+             for spec, (cfg, ctx, j) in parts]
     parts.insert(2, (parts[1][0][:1].copy(), parts[1][1]))
     parts.append((X_mixed, mixed))
     assert [X.shape[1] for X, _ in parts] == [10, 55, 55, 100, 12, 3]
@@ -421,11 +422,11 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
     # batch (a 2-D product goes to gemm for many rows, to gemv for few), as
     # the table only picks cells; this checks the table itself, on pairs of
     # rows (a row alone is scanned directly)
-    spec, sweep, ctx, j = _point(point)
+    spec, cfg, ctx, j = _point(point)
     X = _fas_rows(spec, ctx, j)
     profile = ctx.profile
     res = estimators._Residual(profile, profile.derivative,
-                               np.geomspace(*sweep.cfg.search_bracket, _SCAN_POINTS))
+                               np.geomspace(*cfg.search_bracket, _SCAN_POINTS))
     for squared in (False, True):
         whole = res.scan(X, squared)
         for k in range(0, X.shape[0], 2):
@@ -439,9 +440,9 @@ def test_scan_rows_do_not_depend_on_the_other_rows(point):
 def test_a_bracket_end_value_is_g_at_its_grid_point(point, weights):
     # _brentq takes fa and fb as they are: each end's value, gathered from
     # the grid tables one end at a time, must have the bits of g there
-    spec, sweep, ctx, j = _point(point)
+    spec, cfg, ctx, j = _point(point)
     X = _fas_rows(spec, ctx, j)
-    profile, cfg = ctx.profile, sweep.cfg
+    profile = ctx.profile
     if weights == "ls":
         res = estimators._Residual(profile, profile.derivative,
                                    estimators._scan_grid(*cfg.search_bracket))
@@ -461,11 +462,11 @@ def test_a_bracket_end_value_is_g_at_its_grid_point(point, weights):
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # the fig2 point shares its group with the other six SNRs
-    spec, values, ctx, j = _point(point)
-    sweep = experiments._run_trials(values, [ctx], 0, spec.trials)
+    spec, cfg, ctx, j = _point(point)
+    sweep = experiments._run_trials(spec, cfg, [ctx], 0, spec.trials)
     whole, whole_digests = sweep[j]
     for t in (0, 1, 50, spec.trials - 1):
-        one, digests = experiments._run_trials(values, [ctx], t, t + 1)[j]
+        one, digests = experiments._run_trials(spec, cfg, [ctx], t, t + 1)[j]
         assert digests == whole_digests[16 * t:16 * (t + 1)]
         for est in spec.estimators:
             for field in FIELDS:
@@ -475,17 +476,17 @@ def test_a_one_trial_chunk_equals_its_trial_in_the_point(point):
     # worker (the group's points: the fig2 group holds all seven)
     points = [(ctx, axis_index) for axis_index, _ in ctx.points]
     bounds = (0, 1, 2, 51, 52, spec.trials)
-    chunks = [experiments._run_trials(values, [ctx], lo, hi)
+    chunks = [experiments._run_trials(spec, cfg, [ctx], lo, hi)
               for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert experiments._reduce(spec, points, chunks) == \
         experiments._reduce(spec, points, [sweep])
 
 
 def test_ls_scan_holds_no_rows_by_grid_by_ports_temporary():
-    spec, sweep, ctx, j = _point("fig3_n100")
+    spec, cfg, ctx, j = _point("fig3_n100")
     X = _fas_rows(spec, ctx, j)
     block = X.shape[0] * _SCAN_POINTS * X.shape[1] * X.itemsize  # 2.52 MiB
-    solver_ctx = _solver_context(sweep, ctx)
+    solver_ctx = _solver_context(cfg, ctx)
     tracemalloc.start()
     try:
         SOLVERS["ls"](X, solver_ctx)

@@ -27,11 +27,11 @@ def stream(entropy):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def ref_simulate(sweep, ctx, axis_index, factors, t_lo, t_hi):
+def ref_simulate(spec, ctx, axis_index, factors, t_lo, t_hi):
     rows = {name: [] for name in factors}
     digests = []
     for t in range(t_lo, t_hi):
-        z = stream((3, sweep.base_seed, axis_index, t)).standard_normal((1, ctx.profile.n_ports))
+        z = stream((3, spec.base_seed, axis_index, t)).standard_normal((1, ctx.profile.n_ports))
         parts = []
         for name, factor in factors.items():
             x = ctx.means[name] + (z[:, :factor.shape[0]] @ factor.T)[0]
@@ -45,20 +45,20 @@ def ref_simulate(sweep, ctx, axis_index, factors, t_lo, t_hi):
 GEN = np.random.Generator(np.random.Philox(key=0))
 
 
-def simulate(sweep, ctx, point, t_lo, t_hi):
+def simulate(spec, ctx, point, t_lo, t_hi):
     """experiments._simulate on trials [t_lo, t_hi) of one axis point."""
     axis_index, factors = point
-    keys = philox_keys((sweep.base_seed, axis_index), np.arange(t_lo, t_hi))
+    keys = philox_keys((spec.base_seed, axis_index), np.arange(t_lo, t_hi))
     return experiments._simulate(ctx, factors, keys, GEN)
 
 
 def point_context(spec, axis_index):
-    """The sweep's values, the solve-group context holding one axis point,
-    and that point."""
+    """The sweep's solver config, the solve-group context holding one axis
+    point, and that point."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the far-field warning
-        sweep, ctxs = experiments._group_contexts(spec)
-    return next((sweep, ctx, point) for ctx in ctxs for point in ctx.points
+        cfg, ctxs = experiments._group_contexts(spec)
+    return next((cfg, ctx, point) for ctx in ctxs for point in ctx.points
                 if point[0] == axis_index)
 
 
@@ -145,9 +145,9 @@ def test_normal_rows_rekey_with_key_words_above_2_to_the_63():
     (fig3_spec(spacing_h=0.01, base_seed=11, trials=100), 18),  # W = 1.0, N = 100
 ])
 def test_simulate_matches_per_trial_reference(spec, axis_index):
-    sweep, ctx, point = point_context(spec, axis_index)
-    rows, digests = simulate(sweep, ctx, point, 0, 100)
-    ref_rows, ref_digests = ref_simulate(sweep, ctx, *point, 0, 100)
+    _, ctx, point = point_context(spec, axis_index)
+    rows, digests = simulate(spec, ctx, point, 0, 100)
+    ref_rows, ref_digests = ref_simulate(spec, ctx, *point, 0, 100)
     assert digests == "".join(ref_digests)
     assert rows.keys() == ref_rows.keys()
     for name in rows:
@@ -155,10 +155,11 @@ def test_simulate_matches_per_trial_reference(spec, axis_index):
 
 
 def test_simulate_chunks_give_the_same_bytes():
-    sweep, ctx, point = point_context(fig3_spec(spacing_h=0.01, base_seed=4, trials=100), 18)
-    whole, whole_digests = simulate(sweep, ctx, point, 0, 100)
-    head, head_digests = simulate(sweep, ctx, point, 0, 37)
-    tail, tail_digests = simulate(sweep, ctx, point, 37, 100)
+    spec = fig3_spec(spacing_h=0.01, base_seed=4, trials=100)
+    _, ctx, point = point_context(spec, 18)
+    whole, whole_digests = simulate(spec, ctx, point, 0, 100)
+    head, head_digests = simulate(spec, ctx, point, 0, 37)
+    tail, tail_digests = simulate(spec, ctx, point, 37, 100)
     assert whole_digests == head_digests + tail_digests
     for name in whole:
         assert whole[name].tobytes() == np.concatenate([head[name], tail[name]]).tobytes()
@@ -166,10 +167,10 @@ def test_simulate_chunks_give_the_same_bytes():
 
 def test_fused_least_squares_equals_separate_solves():
     spec = fig2_spec(base_seed=13, trials=100)
-    sweep, ctx, point = point_context(spec, 1)
-    got, _ = experiments._run_trials(sweep, [ctx], 0, 100)[ctx.points.index(point)]
-    X, _ = simulate(sweep, ctx, point, 0, 100)
+    cfg, ctx, point = point_context(spec, 1)
+    got, _ = experiments._run_trials(spec, cfg, [ctx], 0, 100)[ctx.points.index(point)]
+    X, _ = simulate(spec, ctx, point, 0, 100)
     for est, name in (("fas_ls", "fas"), ("multipoint_ls", "mp")):
-        alone = solve_ls(X[name], ctx.profile, sweep.cfg)
+        alone = solve_ls(X[name], ctx.profile, cfg)
         for field in ("d_hat", "converged", "iterations", "objective_value"):
             np.testing.assert_array_equal(getattr(got[est], field), getattr(alone, field))
