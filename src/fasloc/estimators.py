@@ -119,10 +119,9 @@ class _Residual:
     distances to per-port weights, (M, N) or (N,); ``g(d, X)`` is
     sum_i w_i(d) * (x_i - M_i(d)) for rows X aligned with d, and ``sq(d, X)``
     is sum_i (x_i - M_i(d))^2. The model and the weights on ``grid`` are
-    computed once; ``g_grid`` and ``sq_grid`` evaluate g and sq at grid
-    points from them, with the bits of ``g`` and ``sq``. Raises when the
-    model leaves +-READING_LIMIT_DBM on the grid, which also keeps the
-    scan's expanded sums far from overflow.
+    computed once; ``g_grid`` evaluates g at grid points from them, with
+    the bits of ``g``. Raises when the model leaves +-READING_LIMIT_DBM on
+    the grid, which also keeps the scan's expanded sums far from overflow.
     """
 
     def __init__(self, profile, weights, grid):
@@ -151,11 +150,6 @@ class _Residual:
         """g at grid points j for the rows of X; an index array of shape
         (..., rows) or (..., 1) gives a result of that shape."""
         return (np.take(self.w, j, axis=0) * (X - np.take(self.model, j, axis=0))).sum(axis=-1)
-
-    def sq_grid(self, j, X):
-        """sq at grid points j for the rows of X, shaped as in ``g_grid``."""
-        r = X - self.model[j]
-        return (r * r).sum(axis=-1)
 
     def scan(self, X, squared=False):
         """(rows, grid) table of g on the grid, or with ``squared`` of sq,
@@ -223,17 +217,17 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
     spre, scur = np.zeros_like(xcur), np.zeros_like(xcur)
     # For a running row the sign test below needs no zero checks: its fpre
     # is never 0, and when fcur is 0 the row stops in this iteration with
-    # the same root either way. Each masked update is skipped when no row
-    # takes it.
+    # the same root either way. The swap and the stop are skipped when no
+    # row takes them. The flip and the interpolation step are not guarded:
+    # on the benchmark sweeps some row takes each of them in every iteration.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, maxiter + 1):
             flip = np.signbit(fpre) != np.signbit(fcur)
-            if np.count_nonzero(flip):
-                np.putmask(xblk, flip, xpre)
-                np.putmask(fblk, flip, fpre)
-                span = xcur - xpre
-                np.putmask(spre, flip, span)
-                np.putmask(scur, flip, span)
+            np.putmask(xblk, flip, xpre)
+            np.putmask(fblk, flip, fpre)
+            span = xcur - xpre
+            np.putmask(spre, flip, span)
+            np.putmask(scur, flip, span)
             swap = np.abs(fblk) < np.abs(fcur)
             if np.count_nonzero(swap):
                 xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
@@ -257,13 +251,10 @@ def _brentq(f, xa, xb, fa, fb, xtol, maxiter):
             # elsewhere
             abs_spre = np.abs(spre)
             short = (abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
-            if np.count_nonzero(short):
-                stry = _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk)
-                short &= 2.0 * np.abs(stry) < np.minimum(abs_spre, 3.0 * abs_sbis - delta)
-                spre = np.where(short, scur, sbis)
-                scur = np.where(short, stry, sbis)
-            else:
-                spre, scur = sbis, sbis.copy()
+            stry = _interpolation_step(xpre, xcur, xblk, fpre, fcur, fblk)
+            short &= 2.0 * np.abs(stry) < np.minimum(abs_spre, 3.0 * abs_sbis - delta)
+            spre = np.where(short, scur, sbis)
+            scur = np.where(short, stry, sbis)
 
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
@@ -471,14 +462,15 @@ def _solve_ls(parts, cfg):
             res = _Residual(profile, profile.derivative, _grid_above_pole(profile, cfg))
         fv, slack = res.scan(X, squared=True)
         bounds.append((np.minimum(fv[:, 0], fv[:, -1]) + 1e-12, slack[:, 0]))  # table ends
-        jobs.append((res, X, *_best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))))
+        jobs.append((res, X, *_best_cells(fv, slack, lambda r, c: res.sq(res.grid[c], X[r]))))
     out = []
     for (res, X, _, _), (bound, slack), (d_hat, _, iterations, converged, _) in zip(
             jobs, bounds, _refine(jobs, _Residual.sq, cfg)):
         f_hat = res.sq(d_hat, X)
         near = np.flatnonzero(np.abs(f_hat - bound) <= 2.0 * slack)
         if near.size:  # where the table's slack could decide it, the exact ends do
-            bound[near] = res.sq_grid([[0], [-1]], X[near]).min(axis=0) + 1e-12
+            ends = [res.sq(np.full(near.size, end), X[near]) for end in res.grid[[0, -1]]]
+            bound[near] = np.minimum(*ends) + 1e-12
         out.append(EstimateBatch(d_hat=d_hat, converged=converged & (f_hat <= bound),
                                  iterations=iterations, objective_value=f_hat))
     return out

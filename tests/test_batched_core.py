@@ -395,7 +395,9 @@ def _solve_parts(solver, parts):
 def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
     # every part of one multi-part call, under the point's bracket, equals
     # that part solved alone; every row of the point's part equals the row
-    # solved alone (which refines on floats)
+    # solved alone (which refines on floats) and its rows in batches of 2
+    # and 3, where an iteration is most likely to find no row that takes an
+    # unguarded update of _brentq
     parts = _parts("mixed" if point == "mixed_n3" else "sweep")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -409,11 +411,12 @@ def test_every_row_solved_alone_equals_its_row_in_the_batch(point, solver):
                 assert getattr(got, field).tobytes() == want.tobytes(), (X.shape, field)
         X, ctx = parts[{"fig2_n12": 4, "fig3_n100": 3, "mixed_n3": 5}[point]]
         whole = SOLVERS[solver](X, ctx)
-        for k in range(X.shape[0]):
-            alone = SOLVERS[solver](X[k].copy()[np.newaxis], ctx)
-            for field in FIELDS:
-                assert getattr(alone, field).tobytes() == \
-                    getattr(whole, field)[k:k + 1].tobytes(), (k, field)
+        for size in (1, 2, 3):
+            for k in range(0, X.shape[0], size):
+                alone = SOLVERS[solver](X[k:k + size].copy(), ctx)
+                for field in FIELDS:
+                    assert getattr(alone, field).tobytes() == \
+                        getattr(whole, field)[k:k + size].tobytes(), (size, k, field)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -457,6 +460,9 @@ def test_a_bracket_end_value_is_g_at_its_grid_point(point, weights):
             got = res.g_grid(end, rows)
             assert got.shape == (len(rows),)
             assert got.tobytes() == res.g(res.grid[end], rows).tobytes(), (len(rows), end)
+            # the least-squares recomputes read sq at grid points through sq
+            want = ((rows - res.model[end]) ** 2).sum(axis=1)
+            assert res.sq(res.grid[end], rows).tobytes() == want.tobytes(), (len(rows), end)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))

@@ -58,6 +58,27 @@ def test_summary_gives_medians_quartiles_and_wins_per_metric(tmp_path, capsys):
     assert tps["calibrated"] and rows["estimate_p50_us"]["calibrated"]
 
 
+@pytest.mark.parametrize("shift, resolved", [(-25.0, True), (25.0, True), (-15.0, False)],
+                         ids=["loss", "gain", "loss within the IQR"])
+def test_a_gap_wider_than_the_parent_iqr_is_resolved_either_way(tmp_path, capsys, shift,
+                                                                 resolved):
+    # parent trials_per_s: median 120, IQR 20; the change is shifted in every pair
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0]
+    for pair, p in enumerate(parent, start=1):
+        write_record(tmp_path, pair, "parent", p, 1e6 / p)
+        write_record(tmp_path, pair, "change", p + shift, 1e6 / (p + shift))
+    bench_record.main(["summarize", str(tmp_path)])
+    rows = {row["metric"]: row for row in json.loads(capsys.readouterr().out)["summary"]}
+    tps = rows["trials_per_s"]
+    assert tps["change"]["median"] == 120.0 + shift
+    assert tps["change_wins"] == (5 if shift > 0 else 0)
+    assert tps["gap_exceeds_parent_iqr"] is resolved
+    # the latency of the same runs (parent IQR 1399 us) moves the other way:
+    # +2193, -1437 and +1190 us
+    p50 = rows["estimate_p50_us"]
+    assert (p50["change_wins"], p50["gap_exceeds_parent_iqr"]) == (tps["change_wins"], resolved)
+
+
 def test_a_traced_group_gets_a_row_per_layer_metric(tmp_path, capsys):
     layer = "experiments.nmse_db.us_per_call"
     parent, change = [30.0, 32.0, 31.0, 29.0, 33.0], [20.0, 21.0, 35.0, 19.0, 22.0]

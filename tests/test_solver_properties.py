@@ -179,9 +179,10 @@ def converged_by_the_exact_ends(X, profile, cfg):
     objective at both bracket ends on every row: the reference rule."""
     res = _Residual(profile, profile.derivative, _scan_grid(*cfg.search_bracket))
     fv, slack = res.scan(X, squared=True)
-    lo, hi = _best_cells(fv, slack, lambda r, c: res.sq_grid(c, X[r]))
+    lo, hi = _best_cells(fv, slack, lambda r, c: res.sq(res.grid[c], X[r]))
     ((d_hat, _, _, converged, _),) = _refine([(res, X, lo, hi)], _Residual.sq, cfg)
-    return converged & (res.sq(d_hat, X) <= res.sq_grid([[0], [-1]], X).min(axis=0) + 1e-12)
+    ends = [res.sq(np.full(len(X), end), X) for end in res.grid[[0, -1]]]
+    return converged & (res.sq(d_hat, X) <= np.minimum(*ends) + 1e-12)
 
 
 @st.composite

@@ -19,7 +19,8 @@ code: its git commit (None outside a repository) and a SHA-256 of its
 distinct machine environments of the records; per workload, seed, trace and
 metric of ``BENCHMARK.json``, the code each side ran, the median and
 quartiles of each side, the pairs the change wins and whether the gap of the
-medians exceeds the parent's interquartile range; and every record,
+medians exceeds the parent's interquartile range, a loss as well as a gain
+(``change_wins`` and the medians say which); and every record,
 tagged with its pair, side and seed. The metrics are the end-to-end ones
 and the per-layer ones, which only a traced (``--trace 1``) run records, so
 a traced group gets a row per layer. A row's ``calibrated`` says whether
@@ -140,7 +141,7 @@ def summarize(args):
                 "parent": parent, "change": change,
                 "change_wins": sum(sign * (value[p, "change"] - value[p, "parent"]) > 0
                                    for p in pairs),
-                "gap_exceeds_parent_iqr": (sign * (change["median"] - parent["median"])
+                "gap_exceeds_parent_iqr": (abs(change["median"] - parent["median"])
                                            > parent["q3"] - parent["q1"]),
                 "correct": all(r["record"]["correct"] for r in group),
                 "failed": sum(r["record"]["failed"] for r in group)})
