@@ -460,7 +460,8 @@ def test_a_bracket_end_value_is_g_at_its_grid_point(point, weights):
             got = res.g_grid(end, rows)
             assert got.shape == (len(rows),)
             assert got.tobytes() == res.g(res.grid[end], rows).tobytes(), (len(rows), end)
-            # the least-squares recomputes read sq at grid points through sq
+            # the least-squares recomputes read sq at grid points: it must have
+            # the bits of the residual against the model on the grid
             want = ((rows - res.model[end]) ** 2).sum(axis=1)
             assert res.sq(res.grid[end], rows).tobytes() == want.tobytes(), (len(rows), end)
 
